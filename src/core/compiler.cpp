@@ -63,7 +63,7 @@ struct CompilerState {
     batched(const lin::TensorLayout& l) const
     {
         if (batch <= 1) return l;
-        return l.with_batch(batch, batch_stride);
+        return l.batched(batch, batch_stride);
     }
 };
 

@@ -1,5 +1,6 @@
 #include "src/core/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -232,6 +233,7 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
                                         << ctx.slot_count());
     ORION_CHECK(cn.l_eff < ctx.max_level(),
                 "context needs more levels than l_eff");
+    boot_plan_ = bootstrap_plan_for(cn, ctx);
     const ckks::Encoder encoder(ctx);
 
     // Symbolic scale propagation mirrors execute_program(); every linear
@@ -268,8 +270,8 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
             break;
         case Instruction::Op::kBootstrap:
             // The operand's exact symbolic scale feeds the circuit's
-            // CoeffToSlot constant (the circuit, like the old oracle,
-            // re-normalizes to the canonical scale).
+            // CoeffToSlot constant (the circuit re-normalizes to the
+            // canonical scale).
             (void)consume(ins.a);
             scale_of[ins.value] = delta;
             break;
@@ -412,35 +414,26 @@ PreparedProgram::PreparedProgram(const CompiledNetwork& cn,
 
     // ---- Phase C: the public-key bootstrap circuit ----
     // One plan (a pure function of the parameters), one encoded circuit
-    // per distinct symbolic input scale. A chain too short for the
-    // circuit leaves boot_circuits_ empty: only a self-keyed executor
-    // can then run the program, through the oracle test fixture.
-    if (cn.num_bootstraps > 0) {
-        boot_plan_ = ckks::BootstrapPlan::cached(ctx.params());
-        if (ckks::BootstrapCircuit::supported(ctx, *boot_plan_, cn.l_eff)) {
-            boot_circuit_of_.assign(cn.program.size(), -1);
-            for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
-                if (cn.program[idx].op != Instruction::Op::kBootstrap) {
-                    continue;
-                }
-                const double s_in = in_scale_[idx];
-                int found = -1;
-                for (std::size_t c = 0; c < boot_circuits_.size(); ++c) {
-                    if (ckks::scales_match(boot_circuits_[c]->input_scale(),
-                                           s_in)) {
-                        found = static_cast<int>(c);
-                        break;
-                    }
-                }
-                if (found < 0) {
-                    boot_circuits_.push_back(
-                        std::make_unique<const ckks::BootstrapCircuit>(
-                            ctx, encoder, boot_plan_, cn.l_eff, s_in));
-                    found = static_cast<int>(boot_circuits_.size()) - 1;
-                }
-                boot_circuit_of_[idx] = found;
+    // per distinct symbolic input scale.
+    if (boot_plan_ == nullptr) return;
+    boot_circuit_of_.assign(cn.program.size(), -1);
+    for (std::size_t idx = 0; idx < cn.program.size(); ++idx) {
+        if (cn.program[idx].op != Instruction::Op::kBootstrap) continue;
+        const double s_in = in_scale_[idx];
+        int found = -1;
+        for (std::size_t c = 0; c < boot_circuits_.size(); ++c) {
+            if (ckks::scales_match(boot_circuits_[c]->input_scale(), s_in)) {
+                found = static_cast<int>(c);
+                break;
             }
         }
+        if (found < 0) {
+            boot_circuits_.push_back(
+                std::make_unique<const ckks::BootstrapCircuit>(
+                    ctx, encoder, boot_plan_, cn.l_eff, s_in));
+            found = static_cast<int>(boot_circuits_.size()) - 1;
+        }
+        boot_circuit_of_[idx] = found;
     }
 }
 
@@ -464,7 +457,7 @@ PreparedProgram::galois_requests() const
 int
 PreparedProgram::conjugation_level() const
 {
-    ORION_CHECK(bootstrap_supported(),
+    ORION_CHECK(boot_plan_ != nullptr,
                 "conjugation is only needed by the bootstrap circuit");
     return boot_plan_->conjugation_level(cn_->l_eff);
 }
@@ -489,6 +482,27 @@ input_instruction(const CompiledNetwork& cn)
 
 }  // namespace
 
+std::shared_ptr<const ckks::BootstrapPlan>
+bootstrap_plan_for(const CompiledNetwork& cn, const ckks::Context& ctx)
+{
+    if (cn.num_bootstraps == 0) return nullptr;
+    std::shared_ptr<const ckks::BootstrapPlan> plan =
+        ckks::BootstrapPlan::cached(ctx.params());
+    const auto boot = std::find_if(
+        cn.program.begin(), cn.program.end(), [](const Instruction& ins) {
+            return ins.op == Instruction::Op::kBootstrap;
+        });
+    ORION_ASSERT(boot != cn.program.end());
+    ORION_CHECK(ckks::BootstrapCircuit::supported(ctx, *plan, cn.l_eff),
+                "cannot run " << describe_instruction(*boot)
+                              << ": the public-key bootstrap circuit needs "
+                              << "l_eff " << cn.l_eff << " + l_boot "
+                              << plan->depth << " levels, but the context "
+                              << "chain tops out at max level "
+                              << ctx.max_level());
+    return plan;
+}
+
 GaloisRequirements
 required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
 {
@@ -496,17 +510,12 @@ required_galois(const CompiledNetwork& cn, const ckks::Context& ctx)
     for (const CompiledNetwork::RotationUse& use : cn.required_rotations()) {
         out.requests.push_back({use.step, use.level});
     }
-    if (cn.num_bootstraps > 0) {
-        const std::shared_ptr<const ckks::BootstrapPlan> plan =
-            ckks::BootstrapPlan::cached(ctx.params());
-        if (ckks::BootstrapCircuit::supported(ctx, *plan, cn.l_eff)) {
-            const std::vector<ckks::GaloisKeyRequest> boot =
-                plan->galois_requests(cn.l_eff);
-            out.requests.insert(out.requests.end(), boot.begin(),
-                                boot.end());
-            out.conjugation = true;
-            out.conjugation_level = plan->conjugation_level(cn.l_eff);
-        }
+    if (const auto plan = bootstrap_plan_for(cn, ctx)) {
+        const std::vector<ckks::GaloisKeyRequest> boot =
+            plan->galois_requests(cn.l_eff);
+        out.requests.insert(out.requests.end(), boot.begin(), boot.end());
+        out.conjugation = true;
+        out.conjugation_level = plan->conjugation_level(cn.l_eff);
     }
     return out;
 }
@@ -515,38 +524,7 @@ std::vector<ckks::Ciphertext>
 encrypt_network_input(const CompiledNetwork& cn, const ckks::Context& ctx,
                       const ckks::Encoder& encoder,
                       ckks::Encryptor& encryptor,
-                      const std::vector<double>& input)
-{
-    ORION_CHECK(input.size() == cn.input_shape.size(),
-                "input size mismatch: got " << input.size() << ", program "
-                                            << "expects "
-                                            << cn.input_shape.size());
-    const Instruction& ins = input_instruction(cn);
-    std::vector<double> normalized(input.size());
-    for (std::size_t i = 0; i < input.size(); ++i) {
-        normalized[i] = cn.input_nu * input[i];
-    }
-    const u64 padded = ins.cts * cn.slots;
-    const std::vector<double> packed =
-        cn.input_layout.pack(normalized, padded);
-    const double delta = ctx.scale();
-    std::vector<ckks::Ciphertext> cts;
-    cts.reserve(ins.cts);
-    for (u64 c = 0; c < ins.cts; ++c) {
-        const std::span<const double> chunk(packed.data() + c * cn.slots,
-                                            cn.slots);
-        cts.push_back(
-            encryptor.encrypt(encoder.encode(chunk, ins.level, delta)));
-    }
-    return cts;
-}
-
-std::vector<ckks::Ciphertext>
-encrypt_network_input_batch(const CompiledNetwork& cn,
-                            const ckks::Context& ctx,
-                            const ckks::Encoder& encoder,
-                            ckks::Encryptor& encryptor,
-                            const std::vector<std::vector<double>>& inputs)
+                      const std::vector<std::vector<double>>& inputs)
 {
     ORION_CHECK(!inputs.empty(), "batch must have at least one sample");
     ORION_CHECK(inputs.size() <= static_cast<std::size_t>(cn.batch),
@@ -568,7 +546,7 @@ encrypt_network_input_batch(const CompiledNetwork& cn,
     const Instruction& ins = input_instruction(cn);
     const u64 padded = ins.cts * cn.slots;
     const std::vector<double> packed =
-        cn.input_layout.pack_batch(normalized, padded);
+        cn.input_layout.pack(normalized, padded);
     const double delta = ctx.scale();
     std::vector<ckks::Ciphertext> cts;
     cts.reserve(ins.cts);
@@ -581,33 +559,12 @@ encrypt_network_input_batch(const CompiledNetwork& cn,
     return cts;
 }
 
-std::vector<double>
+std::vector<std::vector<double>>
 decrypt_network_output(const CompiledNetwork& cn,
                        const ckks::Encoder& encoder,
                        const ckks::Decryptor& decryptor,
-                       const std::vector<ckks::Ciphertext>& outputs)
-{
-    std::vector<double> slots;
-    slots.reserve(outputs.size() * cn.slots);
-    for (const ckks::Ciphertext& ct : outputs) {
-        const std::vector<double> part =
-            encoder.decode(decryptor.decrypt(ct));
-        slots.insert(slots.end(), part.begin(), part.end());
-    }
-    slots.resize(std::max<u64>(cn.output_layout.total_slots(), slots.size()),
-                 0.0);
-    std::vector<double> logical = cn.output_layout.unpack(slots);
-    logical.resize(cn.output_size);
-    for (double& x : logical) x /= cn.output_nu;
-    return logical;
-}
-
-std::vector<std::vector<double>>
-decrypt_network_output_batch(const CompiledNetwork& cn,
-                             const ckks::Encoder& encoder,
-                             const ckks::Decryptor& decryptor,
-                             const std::vector<ckks::Ciphertext>& outputs,
-                             int batch_count)
+                       const std::vector<ckks::Ciphertext>& outputs,
+                       int batch_count)
 {
     ORION_CHECK(batch_count >= 1 && batch_count <= cn.batch,
                 "batch_count " << batch_count << " > program capacity "
@@ -623,7 +580,7 @@ decrypt_network_output_batch(const CompiledNetwork& cn,
     slots.resize(std::max<u64>(cn.output_layout.total_slots(), slots.size()),
                  0.0);
     std::vector<std::vector<double>> logical =
-        cn.output_layout.unpack_batch(slots, batch_count);
+        cn.output_layout.unpack(slots, batch_count);
     for (std::vector<double>& sample : logical) {
         sample.resize(cn.output_size);
         for (double& x : sample) x /= cn.output_nu;
@@ -654,20 +611,10 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
     // Galois keys: exactly the union of rotation steps the compiled
     // program and (when present) the bootstrap circuit use, each key
     // pruned to the highest level it is used at.
-    const std::vector<ckks::GaloisKeyRequest> requests =
-        prep_->galois_requests();
+    const GaloisRequirements galois = required_galois(cn, ctx);
     own_galois_ = keygen_->make_galois_keys(
-        std::span<const ckks::GaloisKeyRequest>(requests),
-        prep_->needs_conjugation(),
-        prep_->needs_conjugation() ? prep_->conjugation_level() : -1);
-    // Chains too short for the real circuit keep the explicit oracle as
-    // a single-party test fixture (see bootstrap.h).
-    if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
-        oracle_boot_.emplace(
-            ctx, encoder_, keygen_->secret_key(),
-            ckks::OracleBootstrapConfig{ctx.max_level() - cn.l_eff, 1e-6,
-                                        1.0});
-    }
+        std::span<const ckks::GaloisKeyRequest>(galois.requests),
+        galois.conjugation, galois.conjugation_level);
     bind_session_keys(&*own_relin_, &*own_galois_);
 }
 
@@ -682,25 +629,6 @@ CkksExecutor::CkksExecutor(const CompiledNetwork& cn,
                 "external-key executor requires a prepared program");
     ORION_CHECK(prep_->cn_ == &cn && prep_->ctx_ == &ctx,
                 "prepared program belongs to a different network or context");
-    if (cn.num_bootstraps > 0 && !prep_->bootstrap_supported()) {
-        const Instruction* boot_ins = nullptr;
-        for (const Instruction& ins : cn.program) {
-            if (ins.op == Instruction::Op::kBootstrap) {
-                boot_ins = &ins;
-                break;
-            }
-        }
-        ORION_ASSERT(boot_ins != nullptr);
-        const ckks::BootstrapPlan* plan = prep_->bootstrap_plan();
-        ORION_CHECK(false,
-                    "cannot serve "
-                        << describe_instruction(*boot_ins)
-                        << ": the public-key bootstrap circuit needs l_eff "
-                        << cn.l_eff << " + l_boot "
-                        << (plan ? plan->depth : 0) << " levels, but the "
-                        << "context chain tops out at level "
-                        << ctx.max_level());
-    }
 }
 
 void
@@ -729,40 +657,21 @@ CkksExecutor::drop_all(const std::vector<ckks::Ciphertext>& in,
 }
 
 std::vector<ckks::Ciphertext>
-CkksExecutor::encrypt_input(const std::vector<double>& input)
+CkksExecutor::encrypt_input(const std::vector<std::vector<double>>& inputs)
 {
     ORION_CHECK(encryptor_.has_value(),
                 "encrypt_input requires a self-keyed executor");
-    return encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, input);
-}
-
-std::vector<ckks::Ciphertext>
-CkksExecutor::encrypt_input_batch(
-    const std::vector<std::vector<double>>& inputs)
-{
-    ORION_CHECK(encryptor_.has_value(),
-                "encrypt_input_batch requires a self-keyed executor");
-    return encrypt_network_input_batch(*cn_, *ctx_, encoder_, *encryptor_,
-                                       inputs);
-}
-
-std::vector<double>
-CkksExecutor::decrypt_output(const std::vector<ckks::Ciphertext>& outputs)
-    const
-{
-    ORION_CHECK(decryptor_.has_value(),
-                "decrypt_output requires a self-keyed executor");
-    return decrypt_network_output(*cn_, encoder_, *decryptor_, outputs);
+    return encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, inputs);
 }
 
 std::vector<std::vector<double>>
-CkksExecutor::decrypt_output_batch(
-    const std::vector<ckks::Ciphertext>& outputs, int batch_count) const
+CkksExecutor::decrypt_output(const std::vector<ckks::Ciphertext>& outputs,
+                             int batch_count) const
 {
     ORION_CHECK(decryptor_.has_value(),
-                "decrypt_output_batch requires a self-keyed executor");
-    return decrypt_network_output_batch(*cn_, encoder_, *decryptor_,
-                                        outputs, batch_count);
+                "decrypt_output requires a self-keyed executor");
+    return decrypt_network_output(*cn_, encoder_, *decryptor_, outputs,
+                                  batch_count);
 }
 
 EncryptedResult
@@ -802,26 +711,12 @@ CkksExecutor::execute_program(const std::vector<ckks::Ciphertext>& input)
             break;
         }
         case Instruction::Op::kBootstrap: {
+            // The public-key circuit, under whatever evaluation keys are
+            // bound (a serving session's, or our own).
+            const ckks::BootstrapCircuit* circuit = prep_->circuit_for(idx);
             Value v;
-            if (prep_->bootstrap_supported()) {
-                // The real public-key circuit, under whatever evaluation
-                // keys are bound (a serving session's, or our own).
-                const ckks::BootstrapCircuit* circuit =
-                    prep_->circuit_for(idx);
-                for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                    v.cts.push_back(circuit->bootstrap(eval_, ct));
-                }
-            } else {
-                ORION_CHECK(oracle_boot_.has_value(),
-                            "cannot execute "
-                                << describe_instruction(ins)
-                                << ": the chain is too short for the "
-                                << "public-key bootstrap circuit and only "
-                                << "self-keyed executors may fall back to "
-                                << "the oracle fixture");
-                for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
-                    v.cts.push_back(oracle_boot_->bootstrap(ct));
-                }
+            for (const ckks::Ciphertext& ct : values.at(ins.a).cts) {
+                v.cts.push_back(circuit->bootstrap(eval_, ct));
             }
             values[ins.value] = std::move(v);
             result.bootstraps += ins.cts;
@@ -959,13 +854,10 @@ CkksExecutor::run(const std::vector<double>& input)
     std::optional<ScopedPoolOverride> scoped_threads;
     if (cfg_) scoped_threads.emplace(cfg_->resolved_num_threads());
 
-    const std::vector<ckks::Ciphertext> in_cts =
-        encrypt_network_input(*cn_, *ctx_, encoder_, *encryptor_, input);
-    EncryptedResult er = execute_program(in_cts);
+    EncryptedResult er = execute_program(encrypt_input({input}));
 
     ExecutionResult result;
-    result.output =
-        decrypt_network_output(*cn_, encoder_, *decryptor_, er.outputs);
+    result.output = std::move(decrypt_output(er.outputs, 1).front());
     result.bootstraps = er.bootstraps;
     result.rotations = er.rotations;
     result.pmults = er.pmults;

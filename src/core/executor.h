@@ -11,17 +11,18 @@
  * how ImageNet-scale rows of Table 2 are produced. CkksExecutor runs the
  * same instruction stream under real RNS-CKKS encryption end to end.
  *
- * CkksExecutor has two key modes:
- *  - self-keyed: the executor generates its own secret, can encrypt inputs
- *    and decrypt outputs, and supports bootstrap instructions (the oracle
- *    bootstrapper holds the secret). This is the single-party mode used by
- *    tests, benches, and the paper's tables.
+ * CkksExecutor has two key modes. Both run the same instruction walk, and
+ * bootstrap instructions always run as the public-key circuit under the
+ * bound evaluation keys:
+ *  - self-keyed: the executor generates its own secret, so it can also
+ *    encrypt inputs and decrypt outputs. This is the single-party mode
+ *    used by tests, benches, and the paper's tables.
  *  - external-key (serving): the executor holds only a client's evaluation
  *    keys (relinearization + Galois). It can run run_encrypted() -
- *    ciphertexts in, ciphertexts out - but never sees a secret key. The
- *    expensive key-independent preparation (encoded diagonals, bias
- *    plaintexts, resolved scales) lives in a shared PreparedProgram so a
- *    pool of serving executors amortizes it across sessions.
+ *    ciphertexts in, ciphertexts out - but never sees a secret key.
+ * The expensive key-independent preparation (encoded diagonals, bias
+ * plaintexts, resolved scales, bootstrap circuits) lives in a shared
+ * PreparedProgram so a pool of executors amortizes it across sessions.
  */
 
 #include <memory>
@@ -94,12 +95,14 @@ class SimExecutor {
  * Key-independent prepared payloads of a compiled program: every linear
  * layer's matrix diagonals encoded at their assigned levels and repair
  * scales (Figure 7), bias plaintexts, the symbolic scale resolution, and
- * — when the program bootstraps and the context has the levels for it —
- * the public-key bootstrap circuit (ckks::BootstrapCircuit), one encoded
- * variant per distinct symbolic input scale. Immutable after
- * construction and safe to share (read-only) across any number of
- * concurrently running executors; the program must have been compiled
- * with matrices (structural_only = false).
+ * — when the program bootstraps — the public-key bootstrap circuit
+ * (ckks::BootstrapCircuit), one encoded variant per distinct symbolic
+ * input scale. Immutable after construction and safe to share
+ * (read-only) across any number of concurrently running executors; the
+ * program must have been compiled with matrices (structural_only =
+ * false). Construction fails (see bootstrap_plan_for) when the program
+ * bootstraps on a chain too short for the circuit, so every executor
+ * and server built on it can run every instruction.
  */
 class PreparedProgram {
   public:
@@ -108,20 +111,6 @@ class PreparedProgram {
     const CompiledNetwork& network() const { return *cn_; }
     const ckks::Context& context() const { return *ctx_; }
 
-    /** The bootstrap circuit structure; null for bootstrap-free programs. */
-    const ckks::BootstrapPlan* bootstrap_plan() const
-    {
-        return boot_plan_.get();
-    }
-    /**
-     * True when every bootstrap instruction can run as the real circuit
-     * (the context has l_eff + l_boot levels). False either because the
-     * program is bootstrap-free or because the chain is too short — in
-     * the latter case only a self-keyed executor can run the program,
-     * via the oracle test fixture.
-     */
-    bool bootstrap_supported() const { return !boot_circuits_.empty(); }
-
     /**
      * Rotation-key requirements of the whole program: the linear layers'
      * level-pruned steps plus (when bootstrapping) the circuit's steps.
@@ -129,14 +118,13 @@ class PreparedProgram {
      * client must provide — nothing more is ever generated.
      */
     std::vector<ckks::GaloisKeyRequest> galois_requests() const;
-    bool needs_conjugation() const { return bootstrap_supported(); }
+    bool needs_conjugation() const { return cn_->num_bootstraps > 0; }
     int conjugation_level() const;
 
   private:
     friend class CkksExecutor;
 
-    /** The prepared circuit for program instruction idx (never null for
-     *  bootstrap instructions when bootstrap_supported()). */
+    /** The prepared circuit for bootstrap instruction idx. */
     const ckks::BootstrapCircuit* circuit_for(std::size_t idx) const;
 
     const CompiledNetwork* cn_;
@@ -156,12 +144,23 @@ class PreparedProgram {
 };
 
 /**
+ * The bootstrap circuit plan a compiled program runs on a context: null
+ * for bootstrap-free programs, otherwise the process-wide memoized
+ * ckks::BootstrapPlan. Throws when the chain is too short for the
+ * circuit (it needs l_eff + l_boot levels), naming the first bootstrap
+ * instruction, l_eff, l_boot and the chain's max level. The one check
+ * behind Session::compile, PreparedProgram and required_galois.
+ */
+std::shared_ptr<const ckks::BootstrapPlan> bootstrap_plan_for(
+    const CompiledNetwork& cn, const ckks::Context& ctx);
+
+/**
  * The Galois-key requirements of serving a compiled program on a given
  * context: the program's level-pruned rotation steps plus, for
- * bootstrap-bearing programs the context can support, the bootstrap
- * circuit's steps and conjugation. A pure function of (cn, ctx.params),
- * so a client and a server derive identical sets independently — and
- * keygen generates *only* this union, nothing speculative.
+ * bootstrap-bearing programs, the bootstrap circuit's steps and
+ * conjugation. A pure function of (cn, ctx.params), so a client and a
+ * server derive identical sets independently — and keygen generates
+ * *only* this union, nothing speculative.
  */
 struct GaloisRequirements {
     std::vector<ckks::GaloisKeyRequest> requests;
@@ -172,36 +171,23 @@ GaloisRequirements required_galois(const CompiledNetwork& cn,
                                    const ckks::Context& ctx);
 
 /**
- * Packs and encrypts a network input exactly as the program's kInput
- * instruction expects (normalization, layout packing, level, scale).
- * Shared by CkksExecutor::run and the serving client.
+ * Packs up to CompiledNetwork::batch samples into their slot lanes and
+ * encrypts them exactly as the program's kInput instruction expects
+ * (normalization, layout packing, level, scale). The program executes
+ * once for the whole batch; one sample is the batch of one. Shared by
+ * CkksExecutor and the serving client.
  */
 std::vector<ckks::Ciphertext> encrypt_network_input(
-    const CompiledNetwork& cn, const ckks::Context& ctx,
-    const ckks::Encoder& encoder, ckks::Encryptor& encryptor,
-    const std::vector<double>& input);
-
-/**
- * Packs up to CompiledNetwork::batch samples into their slot lanes and
- * encrypts them as one ciphertext set (the batched kInput form). The
- * program executes once for the whole batch.
- */
-std::vector<ckks::Ciphertext> encrypt_network_input_batch(
     const CompiledNetwork& cn, const ckks::Context& ctx,
     const ckks::Encoder& encoder, ckks::Encryptor& encryptor,
     const std::vector<std::vector<double>>& inputs);
 
 /**
  * Decrypts, unpacks, and de-normalizes program outputs exactly as the
- * kOutput instruction does.
+ * kOutput instruction does: the first batch_count lanes, one logical
+ * output per sample.
  */
-std::vector<double> decrypt_network_output(
-    const CompiledNetwork& cn, const ckks::Encoder& encoder,
-    const ckks::Decryptor& decryptor,
-    const std::vector<ckks::Ciphertext>& outputs);
-
-/** Batched decrypt: the first batch_count lanes as per-sample outputs. */
-std::vector<std::vector<double>> decrypt_network_output_batch(
+std::vector<std::vector<double>> decrypt_network_output(
     const CompiledNetwork& cn, const ckks::Encoder& encoder,
     const ckks::Decryptor& decryptor,
     const std::vector<ckks::Ciphertext>& outputs, int batch_count);
@@ -239,10 +225,6 @@ class CkksExecutor {
     /**
      * External-key (serving) mode: no key material of its own; callers
      * bind a session's evaluation keys before each run_encrypted().
-     * Bootstrap instructions run as the real public-key circuit under
-     * the bound Galois/relinearization keys; the context must therefore
-     * have l_eff + l_boot levels (construction fails otherwise, naming
-     * the offending instruction).
      */
     CkksExecutor(const CompiledNetwork& cn, const ckks::Context& ctx,
                  std::shared_ptr<const PreparedProgram> prepared,
@@ -277,17 +259,17 @@ class CkksExecutor {
      */
     EncryptedResult run_encrypted(const std::vector<ckks::Ciphertext>& input);
 
-    /** Encrypts a logical input (self-keyed mode). */
+    /**
+     * Encrypts up to CompiledNetwork::batch samples into slot lanes
+     * (self-keyed mode).
+     */
     std::vector<ckks::Ciphertext> encrypt_input(
-        const std::vector<double>& input);
-    /** Encrypts up to CompiledNetwork::batch samples into slot lanes. */
-    std::vector<ckks::Ciphertext> encrypt_input_batch(
         const std::vector<std::vector<double>>& inputs);
-    /** Decrypts encrypted-domain outputs (self-keyed mode). */
-    std::vector<double> decrypt_output(
-        const std::vector<ckks::Ciphertext>& outputs) const;
-    /** Decrypts the first batch_count lanes as per-sample outputs. */
-    std::vector<std::vector<double>> decrypt_output_batch(
+    /**
+     * Decrypts the first batch_count lanes as per-sample outputs
+     * (self-keyed mode).
+     */
+    std::vector<std::vector<double>> decrypt_output(
         const std::vector<ckks::Ciphertext>& outputs, int batch_count) const;
 
     /** The pinned config, or the current global one when not pinned. */
@@ -328,9 +310,6 @@ class CkksExecutor {
     std::optional<ckks::GaloisKeys> own_galois_;
     std::optional<ckks::Encryptor> encryptor_;
     std::optional<ckks::Decryptor> decryptor_;
-    // Oracle fallback: only for self-keyed executors on chains too short
-    // for the real circuit (toy test parameters); see bootstrap.h.
-    std::optional<ckks::OracleBootstrapper> oracle_boot_;
     // Bound evaluation keys (own keys, or a session's external keys).
     const ckks::KswitchKey* relin_ = nullptr;
     const ckks::GaloisKeys* galois_ = nullptr;

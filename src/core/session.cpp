@@ -59,23 +59,10 @@ Session::compile(const nn::Network& net, core::CompileOptions opt)
         // bootstrap circuit at this parameter point (the plan is a pure
         // function of the parameters), so placement prices bootstraps
         // with the same schedule the executor will actually run.
-        // Dense secrets at large rings make the EvalMod fit diverge —
-        // such parameter sets cannot run the circuit at all (executors
-        // fall back to the oracle fixture), so compilation of
-        // bootstrap-free programs must not die here: keep the
-        // paper-default l_boot for pricing.
-        if (!l_boot_.has_value()) {
-            try {
-                l_boot_ =
-                    ckks::BootstrapPlan::cached(ctx_->params())->depth;
-            } catch (const Error&) {
-                l_boot_ = core::CostModel::paper_scale().l_boot();
-            }
-        }
-        opt.cost = core::CostModel::for_params(ctx_->degree(),
-                                               opts_.params->digit_size,
-                                               opts_.params->digit_size,
-                                               *l_boot_);
+        opt.cost = core::CostModel::for_params(
+            ctx_->degree(), opts_.params->digit_size,
+            opts_.params->digit_size,
+            ckks::BootstrapPlan::cached(ctx_->params())->depth);
     } else {
         opt.slots = opts_.sim_slots;
     }
@@ -87,7 +74,12 @@ Session::compile(const nn::Network& net, core::CompileOptions opt)
     fhe_.reset();
     sim_.reset();
     lowered_.reset();  // the module-compile overload re-stores its IR
-    compiled_ = core::compile(net, opt);
+    compiled_.reset();
+    core::CompiledNetwork cn = core::compile(net, opt);
+    // A program that bootstraps on a chain too short for the circuit
+    // fails here, at compile time, not when it first runs.
+    if (ctx_ != nullptr) (void)core::bootstrap_plan_for(cn, *ctx_);
+    compiled_ = std::move(cn);
     return *compiled_;
 }
 
@@ -198,18 +190,6 @@ Session::run(const std::vector<double>& input)
     return executor().run(input);
 }
 
-std::vector<std::vector<double>>
-Session::run_batch(const std::vector<std::vector<double>>& inputs)
-{
-    require_compiled("run_batch");
-    require_context("run_batch");
-    const std::vector<ckks::Ciphertext> cts =
-        executor().encrypt_input_batch(inputs);
-    const core::EncryptedResult er = executor().run_encrypted(cts);
-    return executor().decrypt_output_batch(
-        er.outputs, static_cast<int>(inputs.size()));
-}
-
 core::ExecutionResult
 Session::simulate(const std::vector<double>& input)
 {
@@ -222,19 +202,17 @@ Session::simulate(const std::vector<double>& input)
 }
 
 std::vector<ckks::Ciphertext>
-Session::encrypt(const std::vector<double>& input)
-{
-    require_compiled("encrypt");
-    require_context("encrypt");
-    return executor().encrypt_input(input);
-}
-
-std::vector<ckks::Ciphertext>
 Session::encrypt(const std::vector<std::vector<double>>& inputs)
 {
     require_compiled("encrypt");
     require_context("encrypt");
-    return executor().encrypt_input_batch(inputs);
+    return executor().encrypt_input(inputs);
+}
+
+std::vector<ckks::Ciphertext>
+Session::encrypt(const std::vector<double>& input)
+{
+    return encrypt(std::vector<std::vector<double>>{input});
 }
 
 core::EncryptedResult
@@ -245,21 +223,19 @@ Session::run_encrypted(const std::vector<ckks::Ciphertext>& input)
     return executor().run_encrypted(input);
 }
 
-std::vector<double>
-Session::decrypt(const std::vector<ckks::Ciphertext>& outputs)
+std::vector<std::vector<double>>
+Session::decrypt(const std::vector<ckks::Ciphertext>& outputs,
+                 int batch_count)
 {
     require_compiled("decrypt");
     require_context("decrypt");
-    return executor().decrypt_output(outputs);
+    return executor().decrypt_output(outputs, batch_count);
 }
 
-std::vector<std::vector<double>>
-Session::decrypt_batch(const std::vector<ckks::Ciphertext>& outputs,
-                       int batch_count)
+std::vector<double>
+Session::decrypt(const std::vector<ckks::Ciphertext>& outputs)
 {
-    require_compiled("decrypt_batch");
-    require_context("decrypt_batch");
-    return executor().decrypt_output_batch(outputs, batch_count);
+    return std::move(decrypt(outputs, 1).front());
 }
 
 std::unique_ptr<serve::InferenceServer>

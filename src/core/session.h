@@ -84,7 +84,9 @@ class Session {
      * Compiles a network: fills the substrate-derived options (slots,
      * l_eff, cost model, calibration data from fit()) and runs the
      * Section 6 pipeline. Any previously compiled program, executors,
-     * and prepared payloads of this Session are discarded.
+     * and prepared payloads of this Session are discarded. Throws when
+     * the program bootstraps and the context's chain is too short for
+     * the bootstrap circuit (core::bootstrap_plan_for).
      */
     const core::CompiledNetwork& compile(const nn::Network& net,
                                          core::CompileOptions opt = {});
@@ -106,34 +108,31 @@ class Session {
     /** Full encrypted inference: encrypt + execute + decrypt. */
     core::ExecutionResult run(const std::vector<double>& input);
 
-    /**
-     * Batched encrypted inference: packs up to CompiledNetwork::batch
-     * samples into slot lanes (compile with CompileOptions::batch > 1),
-     * executes the program ONCE, and returns one output per sample.
-     */
-    std::vector<std::vector<double>> run_batch(
-        const std::vector<std::vector<double>>& inputs);
-
     /** Functional simulation (cost model + bootstrap noise). */
     core::ExecutionResult simulate(const std::vector<double>& input);
 
-    /** Packs + encrypts an input as the compiled program expects. */
-    std::vector<ckks::Ciphertext> encrypt(const std::vector<double>& input);
-
-    /** Packs + encrypts a batch of samples into their slot lanes. */
+    /**
+     * Packs + encrypts up to CompiledNetwork::batch samples into their
+     * slot lanes, as the compiled program expects (compile with
+     * CompileOptions::batch > 1 to run several samples in ONE execution).
+     */
     std::vector<ckks::Ciphertext> encrypt(
         const std::vector<std::vector<double>>& inputs);
+    /** One sample: the batch of one. */
+    std::vector<ckks::Ciphertext> encrypt(const std::vector<double>& input);
 
     /** Encrypted-domain inference: ciphertexts in, ciphertexts out. */
     core::EncryptedResult run_encrypted(
         const std::vector<ckks::Ciphertext>& input);
 
-    /** Decrypts + unpacks + de-normalizes program outputs. */
-    std::vector<double> decrypt(const std::vector<ckks::Ciphertext>& outputs);
-
-    /** Batched decrypt: the first batch_count lanes, one per sample. */
-    std::vector<std::vector<double>> decrypt_batch(
+    /**
+     * Decrypts + unpacks + de-normalizes program outputs: the first
+     * batch_count lanes, one output per sample.
+     */
+    std::vector<std::vector<double>> decrypt(
         const std::vector<ckks::Ciphertext>& outputs, int batch_count);
+    /** Lane 0 only: the output of a one-sample encrypt(). */
+    std::vector<double> decrypt(const std::vector<ckks::Ciphertext>& outputs);
 
     // ---- serving (the Section 6 deployment model) ----
 
@@ -173,7 +172,6 @@ class Session {
 
     SessionOptions opts_;
     std::unique_ptr<ckks::Context> ctx_;  ///< null when simulation-only
-    std::optional<int> l_boot_;  ///< measured bootstrap-circuit depth
     std::vector<std::vector<double>> calibration_;
     std::optional<nn::Network> lowered_;  ///< module-compile() keeps the IR
     std::optional<core::CompiledNetwork> compiled_;

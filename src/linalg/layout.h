@@ -75,7 +75,7 @@ struct TensorLayout {
 
     /** A copy of this layout carrying b samples at the given lane stride. */
     TensorLayout
-    with_batch(int b, u64 stride) const
+    batched(int b, u64 stride) const
     {
         ORION_CHECK(b >= 1, "bad batch " << b);
         ORION_CHECK(b == 1 || stride >= base_slots(),
@@ -117,34 +117,13 @@ struct TensorLayout {
         return static_cast<u64>(channels) * height * width;
     }
 
-    /** Packs a logical (c, h, w)-major tensor into lane 0 of layout order. */
-    std::vector<double>
-    pack(const std::vector<double>& chw, u64 padded_size = 0) const
-    {
-        ORION_CHECK(chw.size() == logical_size(),
-                    "tensor size mismatch: " << chw.size() << " vs "
-                                             << logical_size());
-        std::vector<double> out(padded_size == 0 ? total_slots()
-                                                 : padded_size,
-                                0.0);
-        u64 idx = 0;
-        for (int c = 0; c < channels; ++c) {
-            for (int y = 0; y < height; ++y) {
-                for (int x = 0; x < width; ++x) {
-                    out[slot_of(c, y, x)] = chw[idx++];
-                }
-            }
-        }
-        return out;
-    }
-
     /**
-     * Packs up to `batch` logical tensors, sample b into lane b. Lanes
-     * beyond samples.size() stay zero.
+     * Packs up to `batch` logical (c, h, w)-major tensors into layout
+     * order, sample b into lane b. Lanes beyond samples.size() stay zero.
      */
     std::vector<double>
-    pack_batch(const std::vector<std::vector<double>>& samples,
-               u64 padded_size = 0) const
+    pack(const std::vector<std::vector<double>>& samples,
+         u64 padded_size = 0) const
     {
         ORION_CHECK(!samples.empty() &&
                         samples.size() <= static_cast<std::size_t>(batch),
@@ -171,28 +150,16 @@ struct TensorLayout {
         return out;
     }
 
-    /** Extracts the logical (c, h, w)-major tensor of lane 0. */
+    /** Packs one logical tensor into lane 0. */
     std::vector<double>
-    unpack(const std::vector<double>& slots) const
+    pack(const std::vector<double>& chw, u64 padded_size = 0) const
     {
-        ORION_CHECK(slots.size() >= total_slots(),
-                    "slot vector too short: " << slots.size() << " vs "
-                                              << total_slots());
-        std::vector<double> out(logical_size());
-        u64 idx = 0;
-        for (int c = 0; c < channels; ++c) {
-            for (int y = 0; y < height; ++y) {
-                for (int x = 0; x < width; ++x) {
-                    out[idx++] = slots[slot_of(c, y, x)];
-                }
-            }
-        }
-        return out;
+        return pack(std::vector<std::vector<double>>{chw}, padded_size);
     }
 
     /** Extracts the first `count` batch lanes as logical tensors. */
     std::vector<std::vector<double>>
-    unpack_batch(const std::vector<double>& slots, int count) const
+    unpack(const std::vector<double>& slots, int count) const
     {
         ORION_CHECK(count >= 1 && count <= batch,
                     "batch count " << count << " exceeds layout batch "
@@ -215,6 +182,13 @@ struct TensorLayout {
             }
         }
         return out;
+    }
+
+    /** Extracts the logical tensor of lane 0. */
+    std::vector<double>
+    unpack(const std::vector<double>& slots) const
+    {
+        return std::move(unpack(slots, 1).front());
     }
 
     bool

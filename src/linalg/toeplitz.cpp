@@ -15,7 +15,7 @@ conv_output_layout(const Conv2dSpec& spec, const TensorLayout& in)
                                                  << spec.in_channels);
     const TensorLayout out(spec.out_channels, spec.out_h(in.height),
                            spec.out_w(in.width), in.gap * spec.stride);
-    if (in.batch > 1) return out.with_batch(in.batch, in.batch_stride);
+    if (in.batch > 1) return out.batched(in.batch, in.batch_stride);
     return out;
 }
 

@@ -46,21 +46,7 @@ ServeClient::key_bundle() const
 }
 
 ckks::serial::Bytes
-ServeClient::make_request(const std::vector<double>& input)
-{
-    ORION_CHECK(session_id_ != 0,
-                "no session id: register the key bundle and call "
-                "set_session_id first");
-    Request req;
-    req.session_id = session_id_;
-    req.request_id = next_request_id_++;
-    req.inputs =
-        core::encrypt_network_input(*cn_, *ctx_, encoder_, encryptor_, input);
-    return encode_request(req);
-}
-
-ckks::serial::Bytes
-ServeClient::make_request_batch(const std::vector<std::vector<double>>& inputs)
+ServeClient::make_request(const std::vector<std::vector<double>>& inputs)
 {
     ORION_CHECK(session_id_ != 0,
                 "no session id: register the key bundle and call "
@@ -69,26 +55,29 @@ ServeClient::make_request_batch(const std::vector<std::vector<double>>& inputs)
     req.session_id = session_id_;
     req.request_id = next_request_id_++;
     req.batch_count = inputs.size();
-    req.inputs = core::encrypt_network_input_batch(*cn_, *ctx_, encoder_,
-                                                   encryptor_, inputs);
+    req.inputs =
+        core::encrypt_network_input(*cn_, *ctx_, encoder_, encryptor_, inputs);
     return encode_request(req);
+}
+
+ckks::serial::Bytes
+ServeClient::make_request(const std::vector<double>& input)
+{
+    return make_request(std::vector<std::vector<double>>{input});
+}
+
+std::vector<std::vector<double>>
+ServeClient::decrypt_response(std::span<const u8> response, int batch_count)
+{
+    const Response resp = decode_response(response, *ctx_);
+    return core::decrypt_network_output(*cn_, encoder_, decryptor_,
+                                        resp.outputs, batch_count);
 }
 
 std::vector<double>
 ServeClient::decrypt_response(std::span<const u8> response)
 {
-    const Response resp = decode_response(response, *ctx_);
-    return core::decrypt_network_output(*cn_, encoder_, decryptor_,
-                                        resp.outputs);
-}
-
-std::vector<std::vector<double>>
-ServeClient::decrypt_response_batch(std::span<const u8> response,
-                                    int batch_count)
-{
-    const Response resp = decode_response(response, *ctx_);
-    return core::decrypt_network_output_batch(*cn_, encoder_, decryptor_,
-                                              resp.outputs, batch_count);
+    return std::move(decrypt_response(response, 1).front());
 }
 
 Response

@@ -33,25 +33,24 @@ class ServeClient {
     u64 session_id() const { return session_id_; }
 
     /**
-     * Packs, encrypts, and serializes one inference request (request ids
-     * are assigned sequentially).
+     * Packs `inputs.size()` samples into the program's batch lanes,
+     * encrypts, and serializes one inference request (request ids are
+     * assigned sequentially). The sample count must not exceed the
+     * compiled network's batch capacity.
      */
+    ckks::serial::Bytes make_request(
+        const std::vector<std::vector<double>>& inputs);
+    /** One sample: the batch of one. */
     ckks::serial::Bytes make_request(const std::vector<double>& input);
 
     /**
-     * Packs `inputs.size()` samples into the program's batch lanes and
-     * serializes one batched request (wire v4). The sample count must not
-     * exceed the compiled network's batch capacity.
+     * Decrypts the first `batch_count` lanes of a serialized Response to
+     * logical network outputs, one per sample.
      */
-    ckks::serial::Bytes make_request_batch(
-        const std::vector<std::vector<double>>& inputs);
-
-    /** Decrypts a serialized Response to the logical network output. */
-    std::vector<double> decrypt_response(std::span<const u8> response);
-
-    /** Decrypts the first `batch_count` lanes of a batched Response. */
-    std::vector<std::vector<double>> decrypt_response_batch(
+    std::vector<std::vector<double>> decrypt_response(
         std::span<const u8> response, int batch_count);
+    /** Lane 0 only: the output of a one-sample request. */
+    std::vector<double> decrypt_response(std::span<const u8> response);
 
     /** Decodes a Response without decrypting (stats inspection). */
     Response parse_response(std::span<const u8> response) const;

@@ -267,24 +267,52 @@ TEST(Compiler, MultiCiphertextTensors)
     EXPECT_LT(rel_err(sim.run(x).output, net.forward(x)), 1e-9);
 }
 
+/** Context-counter rotations of one standalone circuit bootstrap. */
+u64
+standalone_bootstrap_rotations(const ckks::Context& ctx, int l_eff)
+{
+    const ckks::Encoder encoder(ctx);
+    ckks::KeyGenerator keygen(ctx, /*seed=*/11);
+    const ckks::PublicKey pk = keygen.make_public_key();
+    const ckks::KswitchKey relin = keygen.make_relin_key();
+    const ckks::Bootstrapper boot(ctx, encoder, l_eff);
+    const std::vector<ckks::GaloisKeyRequest> requests =
+        boot.galois_requests();
+    const ckks::GaloisKeys galois = keygen.make_galois_keys(
+        std::span<const ckks::GaloisKeyRequest>(requests),
+        /*include_conjugation=*/true, boot.conjugation_level());
+    ckks::Evaluator eval(ctx, encoder);
+    eval.set_relin_key(&relin);
+    eval.set_galois_keys(&galois);
+    ckks::Encryptor encryptor(ctx, pk);
+    const ckks::Ciphertext ct = encryptor.encrypt(encoder.encode(
+        random_vector(ctx.slot_count(), 0.5, 43), 0, ctx.scale()));
+    const u64 before = ctx.counters().total_rotations();
+    (void)boot.bootstrap(eval, ct);
+    return ctx.counters().total_rotations() - before;
+}
+
 TEST(Compiler, CkksExecutionMatchesSimulation)
 {
     // The flagship integration test: the same compiled program executed
-    // under real RNS-CKKS encryption agrees with the functional simulation
-    // (and hence with cleartext PyTorch-style execution) to high precision.
-    CkksEnv& env = CkksEnv::shared();
+    // under real RNS-CKKS encryption — bootstrap included, as the
+    // public-key circuit — agrees with the functional simulation (and
+    // hence with cleartext PyTorch-style execution) to high precision.
+    constexpr int kLeff = 4;
+    const ckks::Context ctx(ckks::CkksParams::bootstrap_toy(kLeff));
     const Network net = tiny_resnet(ActivationSpec::Kind::kSquare);
-    CompileOptions opt = toy_options(env.ctx.slot_count(), 4);
+    CompileOptions opt = toy_options(ctx.slot_count(), kLeff);
     opt.structural_only = false;  // need value matrices for CKKS
     const CompiledNetwork cn = core::compile(net, opt);
+    ASSERT_GE(cn.num_bootstraps, 1u);
 
     core::SimExecutor sim(cn, 0.0);
-    core::CkksExecutor fhe(cn, env.ctx);
+    core::CkksExecutor fhe(cn, ctx);
     const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 42);
     const core::ExecutionResult rs = sim.run(x);
-    const ckks::OpCounters before = env.ctx.counters();
+    const ckks::OpCounters before = ctx.counters();
     const core::ExecutionResult rf = fhe.run(x);
-    const ckks::OpCounters after = env.ctx.counters();
+    const ckks::OpCounters after = ctx.counters();
 
     ASSERT_EQ(rf.output.size(), rs.output.size());
     const double err = rel_err(rf.output, rs.output);
@@ -296,10 +324,14 @@ TEST(Compiler, CkksExecutionMatchesSimulation)
     }
     const double precision_bits = -std::log2(abs_err);
     EXPECT_GT(precision_bits, 4.0);
-    // The measured kernel rotation count (Context counter delta) must
-    // equal the compiler's static count, and the executor must report it.
+    EXPECT_EQ(rf.bootstraps, cn.num_bootstraps);
+    // The measured kernel rotation count (Context counter delta) is the
+    // compiler's static count plus the circuit's own rotations per
+    // bootstrap; the executor reports the program's share.
     EXPECT_EQ(after.total_rotations() - before.total_rotations(),
-              cn.total_rotations);
+              cn.total_rotations +
+                  cn.num_bootstraps *
+                      standalone_bootstrap_rotations(ctx, kLeff));
     EXPECT_EQ(rf.rotations, cn.total_rotations);
 }
 

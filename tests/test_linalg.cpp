@@ -304,18 +304,18 @@ TEST(BatchedLayout, PackUnpackRoundTripAdversarialCombos)
     for (const Combo& k : combos) {
         const lin::TensorLayout base(k.c, k.h, k.w, k.gap);
         const u64 stride = next_pow2(base.base_slots()) + k.extra_stride;
-        const lin::TensorLayout l = base.with_batch(k.batch, stride);
+        const lin::TensorLayout l = base.batched(k.batch, stride);
 
         std::vector<std::vector<double>> samples;
         for (int b = 0; b < k.batch; ++b) {
             samples.push_back(random_vector(
                 l.logical_size(), 1.0, 100 + static_cast<u64>(b)));
         }
-        const std::vector<double> slots = l.pack_batch(samples);
+        const std::vector<double> slots = l.pack(samples);
         ASSERT_EQ(slots.size(), l.total_slots());
 
-        // Full round trip, plus lane 0 via the single-sample unpack.
-        const auto back = l.unpack_batch(slots, k.batch);
+        // Full round trip, plus lane 0 via the one-sample unpack.
+        const auto back = l.unpack(slots, k.batch);
         ASSERT_EQ(back.size(), samples.size());
         for (int b = 0; b < k.batch; ++b) {
             EXPECT_EQ(back[static_cast<std::size_t>(b)],
@@ -329,8 +329,8 @@ TEST(BatchedLayout, PackUnpackRoundTripAdversarialCombos)
         if (k.batch > 1) {
             const std::vector<std::vector<double>> some(samples.begin(),
                                                         samples.begin() + 1);
-            const std::vector<double> partial = l.pack_batch(some);
-            const auto lanes = l.unpack_batch(partial, k.batch);
+            const std::vector<double> partial = l.pack(some);
+            const auto lanes = l.unpack(partial, k.batch);
             EXPECT_EQ(lanes[0], samples[0]);
             for (std::size_t b = 1; b < lanes.size(); ++b) {
                 for (const double v : lanes[b]) EXPECT_EQ(v, 0.0);
@@ -342,22 +342,22 @@ TEST(BatchedLayout, PackUnpackRoundTripAdversarialCombos)
 TEST(BatchedLayout, UnpackRejectsShortSlotVector)
 {
     const lin::TensorLayout l =
-        lin::TensorLayout(2, 4, 4, 1).with_batch(4, 64);
+        lin::TensorLayout(2, 4, 4, 1).batched(4, 64);
     const std::vector<double> short_slots(l.total_slots() - 1, 0.0);
     expect_throw_contains<Error>([&] { (void)l.unpack(short_slots); },
                                  "slot vector too short");
     expect_throw_contains<Error>(
-        [&] { (void)l.unpack_batch(short_slots, 4); },
+        [&] { (void)l.unpack(short_slots, 4); },
         "slot vector too short");
 }
 
-TEST(BatchedLayout, WithBatchValidatesStride)
+TEST(BatchedLayout, BatchedValidatesStride)
 {
     const lin::TensorLayout l(2, 4, 4, 1);  // span 32
-    expect_throw_contains<Error>([&] { (void)l.with_batch(2, 16); },
+    expect_throw_contains<Error>([&] { (void)l.batched(2, 16); },
                                  "smaller than sample span");
     // batch = 1 normalizes the stride away (bit-identity with legacy).
-    const lin::TensorLayout one = l.with_batch(1, 999);
+    const lin::TensorLayout one = l.batched(1, 999);
     EXPECT_EQ(one.batch, 1);
     EXPECT_EQ(one.batch_stride, 0u);
     EXPECT_TRUE(one == l);
@@ -379,7 +379,7 @@ TEST(BatchedToeplitz, StructureInvariantUnderBatching)
     spec.pad = 1;
     const lin::TensorLayout cin(2, 8, 8, 1);  // span 128
     const lin::TensorLayout cout = lin::conv_output_layout(spec, cin);
-    const lin::TensorLayout bin = cin.with_batch(4, 128);
+    const lin::TensorLayout bin = cin.batched(4, 128);
     const lin::TensorLayout bout = lin::conv_output_layout(spec, bin);
     EXPECT_EQ(bout.batch, 4);
     EXPECT_EQ(bout.batch_stride, 128u);
@@ -403,7 +403,7 @@ TEST(BatchedToeplitz, BatchedLinearMatchesPerSampleApply)
     const lin::TensorLayout in(3, 4, 4, 1);  // span 48
     const u64 stride = 64;
     const int batch = 4;
-    const lin::TensorLayout bin = in.with_batch(batch, stride);
+    const lin::TensorLayout bin = in.batched(batch, stride);
     const int in_features = static_cast<int>(in.logical_size());
     const std::vector<double> weights = random_vector(
         static_cast<std::size_t>(out_features) * in.logical_size(), 1.0, 7);
@@ -418,7 +418,7 @@ TEST(BatchedToeplitz, BatchedLinearMatchesPerSampleApply)
         samples.push_back(
             random_vector(in.logical_size(), 1.0, 50 + static_cast<u64>(b)));
     }
-    std::vector<double> packed = bin.pack_batch(samples);
+    std::vector<double> packed = bin.pack(samples);
     packed.resize(mB.cols(), 0.0);
     const std::vector<double> y = mB.apply(packed);
     for (int b = 0; b < batch; ++b) {

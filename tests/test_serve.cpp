@@ -85,12 +85,12 @@ TEST(Serve, BackToBackRunsOnOneExecutorAgree)
     EXPECT_EQ(r1.rotations, senv.cn.total_rotations);
 
     // Encrypted-domain reruns on the same instance as well.
-    const std::vector<ckks::Ciphertext> in_cts = exec.encrypt_input(x);
+    const std::vector<ckks::Ciphertext> in_cts = exec.encrypt_input({x});
     const core::EncryptedResult e1 = exec.run_encrypted(in_cts);
     const core::EncryptedResult e2 = exec.run_encrypted(in_cts);
     EXPECT_EQ(e1.rotations, e2.rotations);
-    EXPECT_LT(max_abs_diff(exec.decrypt_output(e1.outputs),
-                           exec.decrypt_output(e2.outputs)),
+    EXPECT_LT(max_abs_diff(exec.decrypt_output(e1.outputs, 1).front(),
+                           exec.decrypt_output(e2.outputs, 1).front()),
               1e-6);  // same input ciphertexts -> same encrypted outputs
 }
 
@@ -615,7 +615,6 @@ TEST(ServeBootstrap, BootstrapProgramServedUnderClientKeysOnly)
     // decrypted logits argmax-match the cleartext execution.
     BootServeEnv& senv = BootServeEnv::shared();
     ASSERT_GE(senv.cn.num_bootstraps, 1u);
-    ASSERT_TRUE(senv.prepared->bootstrap_supported());
 
     InferenceServer server(senv.cn, senv.ctx, opts(1, 4), senv.prepared);
     ServeClient client(senv.cn, senv.ctx, /*seed=*/300);
@@ -673,8 +672,9 @@ TEST(ServeBootstrap, RegistrationRejectsBundleMissingBootstrapKeys)
 TEST(ServeBootstrap, ShallowContextRejectionNamesTheInstruction)
 {
     // A bootstrap-bearing program on a chain too short for the circuit
-    // must be rejected at server construction with the offending
-    // instruction kind and layer id in the message.
+    // must be rejected when its PreparedProgram is built — which every
+    // server construction goes through — with the offending instruction
+    // kind and layer id in the message.
     CkksEnv& env = CkksEnv::shared();
     core::CompileOptions opt;
     opt.slots = env.ctx.slot_count();
@@ -686,11 +686,11 @@ TEST(ServeBootstrap, ShallowContextRejectionNamesTheInstruction)
     const CompiledNetwork cn = core::compile(net, opt);
     ASSERT_GE(cn.num_bootstraps, 1u);
 
-    auto prepared =
-        std::make_shared<const core::PreparedProgram>(cn, env.ctx);
-    EXPECT_FALSE(prepared->bootstrap_supported());
     expect_throw_contains<Error>(
-        [&] { InferenceServer server(cn, env.ctx, opts(1, 4), prepared); },
+        [&] { core::PreparedProgram prepared(cn, env.ctx); },
+        "kBootstrap (layer");
+    expect_throw_contains<Error>(
+        [&] { InferenceServer server(cn, env.ctx, opts(1, 4)); },
         "kBootstrap (layer");
 }
 
@@ -977,9 +977,9 @@ TEST(ServeBatch, BatchedRequestMatchesPerSampleExecution)
         inputs.push_back(random_vector(64, 1.0, 700 + static_cast<u64>(i)));
     }
     const serve::ServeReply reply =
-        server.submit(client.make_request_batch(inputs)).get();
+        server.submit(client.make_request(inputs)).get();
     const std::vector<std::vector<double>> got =
-        client.decrypt_response_batch(reply.response, count);
+        client.decrypt_response(reply.response, count);
 
     ASSERT_EQ(got.size(), static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
@@ -1011,7 +1011,7 @@ TEST(ServeBatch, OverCapacityBatchRejectedNamingTheLimit)
     std::vector<std::vector<double>> too_many(
         17, random_vector(64, 1.0, 710));
     expect_throw_contains<Error>(
-        [&] { (void)client.make_request_batch(too_many); },
+        [&] { (void)client.make_request(too_many); },
         "batch_count 17 > program capacity 16");
 
     // A hostile client can still claim any batch_count on the wire; the
@@ -1098,7 +1098,7 @@ TEST(ServeBatch, SingleSampleProgramBitIdenticalAcrossBatchKnob)
                               senv.prepared);
     core::CkksExecutor batched(cn1, env.ctx, /*seed=*/7);
     const std::vector<double> x = random_vector(64, 1.0, 730);
-    const std::vector<ckks::Ciphertext> in_cts = legacy.encrypt_input(x);
+    const std::vector<ckks::Ciphertext> in_cts = legacy.encrypt_input({x});
 
     const auto output_bytes = [&](core::CkksExecutor& exec) {
         const core::EncryptedResult r = exec.run_encrypted(in_cts);

@@ -70,7 +70,7 @@ TEST(Session, EncryptRunEncryptedDecryptMatchesRun)
     EXPECT_LT(max_abs_diff(out, direct), 1e-3);
 }
 
-TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
+TEST(Session, BatchedInferenceExecutesOnceAndMatchesCleartext)
 {
     auto net = micro_module();
     Session session = Session::toy();
@@ -83,7 +83,12 @@ TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
     for (int i = 0; i < 4; ++i) {
         inputs.push_back(random_vector(64, 1.0, 40 + static_cast<u64>(i)));
     }
-    const std::vector<std::vector<double>> outs = session.run_batch(inputs);
+    const std::vector<ckks::Ciphertext> cts = session.encrypt(inputs);
+    const core::EncryptedResult enc = session.run_encrypted(cts);
+    // One program execution for all four samples.
+    EXPECT_EQ(enc.rotations, session.compiled().total_rotations);
+    const std::vector<std::vector<double>> outs =
+        session.decrypt(enc.outputs, static_cast<int>(inputs.size()));
     ASSERT_EQ(outs.size(), inputs.size());
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         const std::vector<double> clear =
@@ -91,16 +96,48 @@ TEST(Session, RunBatchExecutesOnceAndMatchesCleartext)
         ASSERT_EQ(outs[i].size(), clear.size());
         EXPECT_LT(max_abs_diff(outs[i], clear), 1e-2) << "lane " << i;
     }
+}
 
-    // The explicit encrypt/run/decrypt spelling agrees with run_batch.
-    const std::vector<ckks::Ciphertext> cts = session.encrypt(inputs);
-    const core::EncryptedResult enc = session.run_encrypted(cts);
-    const std::vector<std::vector<double>> outs2 =
-        session.decrypt_batch(enc.outputs, static_cast<int>(inputs.size()));
-    ASSERT_EQ(outs2.size(), outs.size());
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-        EXPECT_LT(max_abs_diff(outs2[i], outs[i]), 1e-3);
+TEST(Session, CompileRejectsBootstrapOnChainTooShortForTheCircuit)
+{
+    // l_eff 2 forces a bootstrap into the depth-3 micro MLP, and the toy
+    // chain cannot hold l_eff + l_boot levels: compile() must refuse,
+    // naming the instruction and the level budget, instead of leaving
+    // the program to fail (or be bootstrapped some other way) at run
+    // time.
+    const nn::Network net = nn::make_micro_mlp();
+    Session session = Session::with_params(ckks::CkksParams::toy(), 2);
+    const int max_level = session.context().max_level();
+    bool threw = false;
+    try {
+        (void)session.compile(net, fast_opts());
+    } catch (const Error& e) {
+        threw = true;
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("kBootstrap (layer"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("l_eff 2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("l_boot"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("max level " + std::to_string(max_level)),
+                  std::string::npos)
+            << msg;
     }
+    EXPECT_TRUE(threw) << "compile() accepted an unrunnable bootstrap";
+    expect_throw_contains<Error>([&] { (void)session.compiled(); },
+                                 "before compile()");
+
+    // The same program from core::compile fails at executor construction
+    // too: a self-keyed executor has no other way to bootstrap.
+    core::CompileOptions opt = fast_opts();
+    opt.slots = session.context().slot_count();
+    opt.l_eff = 2;
+    opt.cost = core::CostModel::for_params(session.context().degree(), 3,
+                                           3, 3);
+    opt.structural_only = false;
+    const core::CompiledNetwork cn = core::compile(net, opt);
+    ASSERT_GE(cn.num_bootstraps, 1u);
+    expect_throw_contains<Error>(
+        [&] { core::CkksExecutor exec(cn, session.context()); },
+        "kBootstrap (layer");
 }
 
 TEST(Session, FitCalibrationDataChangesRangeEstimation)

@@ -1,11 +1,14 @@
 /**
  * @file
  * Microbenchmark of the public-key bootstrap circuit: the wall-clock
- * split across ModRaise / CoeffToSlot / EvalMod / SlotToCoeff, the
- * round-trip precision, key material sizes, and a cross-check of the
+ * split across ModRaise / CoeffToSlot / EvalMod / SlotToCoeff, the key
+ * switches, decompositions and NTTs of each stage, the round-trip
+ * precision, key material sizes, and a cross-check of the
  * measured latency against the cost model's Figure-1c analytic schedule
  * (the same model bootstrap placement optimizes with).
  */
+
+#include <tuple>
 
 #include "bench/bench_util.h"
 #include "src/core/telemetry.h"
@@ -115,6 +118,26 @@ main(int argc, char** argv)
                 split.slot_to_coeff_s * 1e3);
     std::printf("%-14s %10.2f   (precision %.1f bits)\n", "total",
                 total * 1e3, bits);
+
+    // Operation counts per stage, from the last timed bootstrap (every
+    // bootstrap runs the same operations).
+    std::printf("\n%-14s %10s %10s %10s\n", "stage", "keyswitch",
+                "decompose", "ntt");
+    for (const auto& [name, tag, c] :
+         {std::tuple{"coeff-to-slot", "cts", split.coeff_to_slot},
+          std::tuple{"eval-mod", "eval_mod", split.eval_mod},
+          std::tuple{"slot-to-coeff", "stc", split.slot_to_coeff}}) {
+        std::printf("%-14s %10llu %10llu %10llu\n", name,
+                    static_cast<unsigned long long>(c.keyswitch),
+                    static_cast<unsigned long long>(c.decompose),
+                    static_cast<unsigned long long>(c.ntt));
+        const std::string prefix(tag);
+        bench::json_metric(prefix + "_keyswitch",
+                           static_cast<double>(c.keyswitch));
+        bench::json_metric(prefix + "_decompose",
+                           static_cast<double>(c.decompose));
+        bench::json_metric(prefix + "_ntt", static_cast<double>(c.ntt));
+    }
 
     // Figure-1c cross-check: the analytic schedule the placement solver
     // prices bootstraps with, calibrated like Session::compile does

@@ -1,11 +1,11 @@
 /**
  * @file
- * RNS kernel microbenchmark: the three limb-level hot paths that dominate
+ * RNS kernel microbenchmark: the limb-level hot paths that dominate
  * end-to-end latency (PAPER.md Section 3) — NTT forward/inverse butterflies,
- * the key-switch inner product, and BSGS rotation accumulation. This is the
- * binary behind the repo's kernel perf trajectory: run with
- * `--json BENCH_kernels.json` before and after a kernel change and compare
- * the per-op metrics.
+ * the key-switch inner product, mod-down and rescale, and BSGS rotation
+ * accumulation. This is the binary behind the repo's kernel perf
+ * trajectory: run with `--json BENCH_kernels.json` before and after a
+ * kernel change and compare the per-op metrics.
  */
 
 #include "bench/bench_util.h"
@@ -122,6 +122,68 @@ sweep_isas()
                 bench::json_metric("sweep_ks_ip_" + tag + "_ms", t_ip * 1e3);
             }
         }
+    }
+}
+
+/**
+ * Key-switch mod-down (divide by P, drop the K special limbs) and rescale
+ * (divide by the last prime, drop it) of one NTT-form polynomial, at two
+ * points: the bootstrap_toy ring (N = 2^11, K = 3, level 16) and a
+ * shallow network ring (N = 2^12, K = 4, level 5). Each timed call also
+ * copies the input polynomial (the operations consume it).
+ */
+void
+mod_down_rows()
+{
+    struct Point {
+        u64 n;
+        int k;
+        int level;
+    };
+    std::printf("\n%8s %4s %6s %14s %14s\n", "n", "K", "level",
+                "mod_down ms", "rescale ms");
+    for (const Point& pt : {Point{u64(1) << 11, 3, 16},
+                            Point{u64(1) << 12, 4, 5}}) {
+        ckks::CkksParams params;
+        params.poly_degree = pt.n;
+        params.log_scale = 50;
+        params.first_prime_bits = 60;
+        params.num_scale_primes = pt.level;
+        params.special_prime_bits = 60;
+        params.digit_size = pt.k;
+        const ckks::Context ctx(params);
+        std::mt19937_64 rng(23);
+        ckks::RnsPoly ext(ctx, pt.level, /*extended=*/true,
+                          /*ntt_form=*/true);
+        for (int i = 0; i < ext.num_limbs(); ++i) {
+            std::uniform_int_distribution<u64> dist(
+                0, ext.limb_modulus(i).value() - 1);
+            for (u64 j = 0; j < pt.n; ++j) ext.limb(i)[j] = dist(rng);
+        }
+        ckks::RnsPoly plain = ext;
+        plain.mod_down_special();
+
+        const int iters = bench::smoke() ? 2 : 50;
+        const double t_md = bench::time_median(bench::reps(5), [&] {
+            for (int i = 0; i < iters; ++i) {
+                ckks::RnsPoly p = ext;
+                p.mod_down_special();
+            }
+        }) / iters;
+        const double t_rs = bench::time_median(bench::reps(5), [&] {
+            for (int i = 0; i < iters; ++i) {
+                ckks::RnsPoly p = plain;
+                p.rescale_drop_last();
+            }
+        }) / iters;
+        std::printf("%8llu %4d %6d %14.4f %14.4f\n",
+                    static_cast<unsigned long long>(pt.n), pt.k, pt.level,
+                    t_md * 1e3, t_rs * 1e3);
+        const std::string tag = "_n" + std::to_string(pt.n) + "_k" +
+                                std::to_string(pt.k) + "_l" +
+                                std::to_string(pt.level);
+        bench::json_metric("mod_down" + tag + "_ms", t_md * 1e3);
+        bench::json_metric("rescale" + tag + "_ms", t_rs * 1e3);
     }
 }
 
@@ -242,6 +304,7 @@ main(int argc, char** argv)
     bench::json_metric("poly_arena_hit",
                        static_cast<double>(c.poly_arena_hit.value()));
 
+    mod_down_rows();
     sweep_isas();
 
     return 0;

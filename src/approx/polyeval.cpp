@@ -176,9 +176,9 @@ HePolyEvaluator::power(PowerBasis& basis, int k) const
         // Subtract T_{a-b} = T_1, scale-aligned with a free constant.
         const ckks::Ciphertext& diff = power(basis, a - b);
         const ckks::Ciphertext diff_l = at_level(diff, lvl);
-        const ckks::Plaintext align = eval_->encoder().encode_constant(
-            1.0, lvl, prod.scale / diff_l.scale);
-        eval_->sub_inplace(prod, eval_->mul_plain(diff_l, align));
+        ckks::Ciphertext aligned = diff_l;
+        eval_->mul_constant_inplace(aligned, 1.0, prod.scale / diff_l.scale);
+        eval_->sub_inplace(prod, aligned);
     }
     eval_->rescale_inplace(prod);
     return basis.emplace(k, std::move(prod)).first->second;
@@ -205,10 +205,9 @@ HePolyEvaluator::eval_node(const std::vector<double>& coeffs, int bs,
         for (int k = 1; k <= d; ++k) {
             const double c = coeffs[static_cast<std::size_t>(k)];
             if (std::abs(c) <= kCoeffTol) continue;
-            const ckks::Ciphertext tk = at_level(power(basis, k), work);
-            const ckks::Plaintext pc = eval_->encoder().encode_constant(
-                c, work, target_scale * q_work / tk.scale);
-            ckks::Ciphertext term = eval_->mul_plain(tk, pc);
+            ckks::Ciphertext term = at_level(power(basis, k), work);
+            eval_->mul_constant_inplace(term, c,
+                                        target_scale * q_work / term.scale);
             // All terms share scale target_scale * q_work by construction;
             // pin the double to avoid ulp drift across additions.
             term.scale = target_scale * q_work;
@@ -243,9 +242,8 @@ HePolyEvaluator::eval_node(const std::vector<double>& coeffs, int bs,
         if (qr.ct.has_value()) {
             prod = eval_->mul(*qr.ct, tm);
         } else if (qr.constant != 0.0) {
-            const ckks::Plaintext pc = eval_->encoder().encode_constant(
-                qr.constant, work, s_q);
-            prod = eval_->mul_plain(tm, pc);
+            prod = tm;
+            eval_->mul_constant_inplace(*prod, qr.constant, s_q);
         }
         if (prod.has_value()) {
             eval_->rescale_inplace(*prod);
@@ -286,8 +284,7 @@ HePolyEvaluator::evaluate(const ChebyshevPoly& p, const ckks::Ciphertext& ct,
         const double alpha = 2.0 / (b - a);
         const double beta = -(a + b) / (b - a);
         const double q_top = static_cast<double>(ctx_->q(u.level()).value());
-        eval_->mul_plain_inplace(
-            u, eval_->encoder().encode_constant(alpha, u.level(), q_top));
+        eval_->mul_constant_inplace(u, alpha, q_top);
         eval_->rescale_inplace(u);
         u.scale = ct.scale;
         if (beta != 0.0) eval_->add_constant_inplace(u, beta);
@@ -303,11 +300,11 @@ HePolyEvaluator::evaluate(const ChebyshevPoly& p, const ckks::Ciphertext& ct,
     if (res.ct.has_value()) return std::move(*res.ct);
 
     // Degenerate constant polynomial: synthesize const + 0 * input.
-    const ckks::Plaintext zero = eval_->encoder().encode_constant(
-        0.0, u.level(),
+    ckks::Ciphertext out = u;
+    eval_->mul_constant_inplace(
+        out, 0.0,
         target_scale * static_cast<double>(ctx_->q(u.level()).value()) /
             u.scale);
-    ckks::Ciphertext out = eval_->mul_plain(u, zero);
     eval_->rescale_inplace(out);
     out.scale = target_scale;
     eval_->add_constant_inplace(out, res.constant);

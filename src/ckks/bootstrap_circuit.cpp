@@ -22,6 +22,20 @@ seconds_since(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+BootstrapStageCounts
+stage_counts(const OpCounters& c)
+{
+    return {c.keyswitch, c.decompose, c.ntt};
+}
+
+BootstrapStageCounts
+counts_since(const OpCounters& c, const BootstrapStageCounts& start)
+{
+    const BootstrapStageCounts now = stage_counts(c);
+    return {now.keyswitch - start.keyswitch,
+            now.decompose - start.decompose, now.ntt - start.ntt};
+}
+
 /** Splits `total` stages into `groups` contiguous runs, front-loaded. */
 std::vector<int>
 group_sizes(int total, int groups)
@@ -66,7 +80,8 @@ collapse_stages(u64 dim, int total, const std::vector<int>& sizes,
 // ---------------------------------------------------------------------
 
 BootstrapPlan
-BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
+BootstrapPlan::fit_eval_mod(const CkksParams& params,
+                            const BootstrapParams& opts)
 {
     BootstrapPlan plan;
     plan.slots = params.poly_degree / 2;
@@ -123,6 +138,14 @@ BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
     plan.eval_degree = plan.sine.degree();
     plan.eval_depth = approx::HePolyEvaluator::poly_depth(plan.sine) +
                       opts.double_angle;
+    plan.depth = opts.cts_levels + plan.eval_depth + opts.stc_levels;
+    return plan;
+}
+
+BootstrapPlan
+BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
+{
+    BootstrapPlan plan = fit_eval_mod(params, opts);
 
     // Collapse the encoder's special-FFT stages into per-level matrices:
     // inverse stages for CoeffToSlot, forward stages for SlotToCoeff.
@@ -144,8 +167,6 @@ BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
             lin::BsgsPlan::build_from_indices(plan.slots,
                                               m.diagonal_indices()));
     }
-
-    plan.depth = opts.cts_levels + plan.eval_depth + opts.stc_levels;
     return plan;
 }
 
@@ -402,7 +423,9 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
 
     // CoeffToSlot, then one conjugation to split real/imaginary halves
     // (the matrices already carry the 1/2).
+    const OpCounters& counters = ctx_->counters();
     t0 = std::chrono::steady_clock::now();
+    BootstrapStageCounts stage_start = stage_counts(counters);
     Ciphertext re, im;
     {
         TELEM_SPAN("boot.cts");
@@ -419,10 +442,14 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
     }
     const double cts_s = seconds_since(t0);
     h_cts.observe(cts_s);
-    if (stats != nullptr) stats->coeff_to_slot_s = cts_s;
+    if (stats != nullptr) {
+        stats->coeff_to_slot_s = cts_s;
+        stats->coeff_to_slot = counts_since(counters, stage_start);
+    }
 
     // EvalMod on both halves, then recombine re + i * im.
     t0 = std::chrono::steady_clock::now();
+    stage_start = stage_counts(counters);
     {
         TELEM_SPAN("boot.eval_mod");
         re = eval_mod(eval, re);
@@ -435,10 +462,14 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
     }
     const double eval_mod_s = seconds_since(t0);
     h_eval_mod.observe(eval_mod_s);
-    if (stats != nullptr) stats->eval_mod_s = eval_mod_s;
+    if (stats != nullptr) {
+        stats->eval_mod_s = eval_mod_s;
+        stats->eval_mod = counts_since(counters, stage_start);
+    }
 
     // SlotToCoeff back to coefficient packing.
     t0 = std::chrono::steady_clock::now();
+    stage_start = stage_counts(counters);
     {
         TELEM_SPAN("boot.stc");
         for (const HeComplexMatrix& stage : stc_) {
@@ -449,7 +480,10 @@ BootstrapCircuit::bootstrap(const Evaluator& eval, const Ciphertext& ct,
     }
     const double stc_s = seconds_since(t0);
     h_stc.observe(stc_s);
-    if (stats != nullptr) stats->slot_to_coeff_s = stc_s;
+    if (stats != nullptr) {
+        stats->slot_to_coeff_s = stc_s;
+        stats->slot_to_coeff = counts_since(counters, stage_start);
+    }
 
     ORION_ASSERT(re.level() == l_eff_);
     ctx_->counters().bootstrap += 1;

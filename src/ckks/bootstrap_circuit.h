@@ -105,6 +105,16 @@ struct BootstrapPlan {
                                const BootstrapParams& opts = {});
 
     /**
+     * The first half of build(): resolves the options, fits the EvalMod
+     * polynomial and sets every depth field (depth included), but leaves
+     * the stage matrices and their BSGS schedules empty. Milliseconds
+     * where build() spends most of its time on the stage matrices, so
+     * callers that need only the depth (the compiler's cost model) use it.
+     */
+    static BootstrapPlan fit_eval_mod(const CkksParams& params,
+                                      const BootstrapParams& opts = {});
+
+    /**
      * Process-wide memo of build() for the default BootstrapParams,
      * keyed by the fields the plan actually depends on (ring degree and
      * secret weight). The compiler, PreparedProgram, and every serving
@@ -146,12 +156,26 @@ class HeComplexMatrix {
     std::map<u64, std::vector<Plaintext>> encoded_;
 };
 
-/** Wall-clock split of one bootstrap, for the microbench. */
+/** Operation counts of one bootstrap stage (Context counter deltas). */
+struct BootstrapStageCounts {
+    u64 keyswitch = 0;
+    u64 decompose = 0;
+    u64 ntt = 0;
+};
+
+/**
+ * Wall-clock and operation-count split of one bootstrap, for the
+ * microbench. The counts are deltas of the Context's shared counters, so
+ * they are exact only while nothing else runs on the same Context.
+ */
 struct BootstrapStats {
     double mod_raise_s = 0.0;
     double coeff_to_slot_s = 0.0;
     double eval_mod_s = 0.0;
     double slot_to_coeff_s = 0.0;
+    BootstrapStageCounts coeff_to_slot;
+    BootstrapStageCounts eval_mod;
+    BootstrapStageCounts slot_to_coeff;
 };
 
 /**

@@ -102,23 +102,28 @@ Encoder::encode(std::span<const double> values, int level, double scale) const
 Plaintext
 Encoder::encode_constant(double value, int level, double scale) const
 {
-    // A constant across all slots embeds to the constant polynomial, so the
-    // special FFT can be skipped entirely.
     Plaintext pt;
     pt.scale = scale;
-    pt.poly = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/false);
-    const i128 c = round_scaled(static_cast<long double>(value), scale);
+    pt.poly = RnsPoly::uninitialized(*ctx_, level, /*extended=*/false,
+                                     /*ntt_form=*/true);
+    const std::vector<u64> r = constant_residues(value, level, scale);
     const u64 n = ctx_->degree();
     for (int i = 0; i < pt.poly.num_limbs(); ++i) {
-        const Modulus& q = pt.poly.limb_modulus(i);
-        const u64 r = reduce_signed_128(c, q);
-        u64* limb = pt.poly.limb(i);
-        for (u64 j = 0; j < n; ++j) limb[j] = (j == 0) ? r : 0;
-        // Constant polynomial: only coefficient 0 is set.
-        limb[0] = r;
+        std::fill(pt.poly.limb(i), pt.poly.limb(i) + n,
+                  r[static_cast<std::size_t>(i)]);
     }
-    pt.poly.to_ntt();
     return pt;
+}
+
+std::vector<u64>
+Encoder::constant_residues(double value, int level, double scale) const
+{
+    const i128 c = round_scaled(static_cast<long double>(value), scale);
+    std::vector<u64> r(static_cast<std::size_t>(level + 1));
+    for (int i = 0; i <= level; ++i) {
+        r[static_cast<std::size_t>(i)] = reduce_signed_128(c, ctx_->q(i));
+    }
+    return r;
 }
 
 std::vector<double>

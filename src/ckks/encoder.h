@@ -38,8 +38,19 @@ class Encoder {
     Plaintext encode_complex(std::span<const std::complex<double>> values,
                              int level, double scale) const;
 
-    /** Encodes the same real constant into every slot (O(N) fast path). */
+    /**
+     * Encodes the same real constant into every slot. The constant
+     * polynomial evaluates to itself at every root of unity, so its NTT
+     * form holds constant_residues() in every slot: no FFT, no NTT.
+     */
     Plaintext encode_constant(double value, int level, double scale) const;
+
+    /**
+     * round(value * scale) reduced modulo q_0..q_level: the per-limb
+     * scalars that add or multiply a constant without a plaintext.
+     */
+    std::vector<u64> constant_residues(double value, int level,
+                                       double scale) const;
 
     /** Decodes the real parts of all slots. */
     std::vector<double> decode(const Plaintext& pt) const;

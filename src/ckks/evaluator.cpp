@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/ckks/kernels.h"
+#include "src/core/arena.h"
 #include "src/core/telemetry.h"
 #include "src/core/thread_pool.h"
 
@@ -73,8 +75,10 @@ Evaluator::negate_inplace(Ciphertext& a) const
 void
 Evaluator::add_constant_inplace(Ciphertext& a, double v) const
 {
-    const Plaintext p = encoder_->encode_constant(v, a.level(), a.scale);
-    add_plain_inplace(a, p);
+    // The constant plaintext holds one residue per limb in every NTT slot.
+    a.c0.add_scalar_inplace(
+        encoder_->constant_residues(v, a.level(), a.scale));
+    ctx_->counters().hadd += 1;
 }
 
 Ciphertext
@@ -134,8 +138,54 @@ Evaluator::square(const Ciphertext& a) const
 void
 Evaluator::mul_constant_inplace(Ciphertext& a, double v, double scale) const
 {
-    const Plaintext p = encoder_->encode_constant(v, a.level(), scale);
-    mul_plain_inplace(a, p);
+    const std::vector<u64> r =
+        encoder_->constant_residues(v, a.level(), scale);
+    a.c0.mul_scalar_inplace(r);
+    a.c1.mul_scalar_inplace(r);
+    a.scale *= scale;
+    ctx_->counters().pmult += 1;
+}
+
+Ciphertext
+Evaluator::mul_plain_sum(std::span<const Ciphertext* const> cts,
+                         std::span<const Plaintext* const> pts) const
+{
+    ORION_CHECK(!cts.empty() && cts.size() == pts.size(),
+                "mul_plain_sum needs matching, non-empty operand lists");
+    const int level = cts[0]->level();
+    Ciphertext out;
+    out.scale = cts[0]->scale * pts[0]->scale;
+    for (std::size_t t = 0; t < cts.size(); ++t) {
+        ORION_CHECK(cts[t]->level() == level && pts[t]->level() == level,
+                    "level mismatch in mul_plain_sum");
+        ORION_CHECK(scales_match(out.scale, cts[t]->scale * pts[t]->scale),
+                    "scale mismatch in mul_plain_sum: "
+                        << out.scale << " vs "
+                        << cts[t]->scale * pts[t]->scale);
+        ORION_ASSERT(cts[t]->c0.is_ntt() && cts[t]->c1.is_ntt() &&
+                     pts[t]->poly.is_ntt());
+    }
+    out.c0 = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/true);
+    out.c1 = RnsPoly(*ctx_, level, /*extended=*/false, /*ntt_form=*/true);
+    // The key-switch inner product kernel is exactly this sum: xs are the
+    // plaintext limbs, bs/as the ciphertexts' c0/c1 limbs.
+    const u64 terms = cts.size();
+    const u64 n = ctx_->degree();
+    core::parallel_for(0, out.c0.num_limbs(), [&](i64 li) {
+        const int i = static_cast<int>(li);
+        core::ScratchVec<const u64*> xs(terms), bs(terms), as(terms);
+        for (u64 t = 0; t < terms; ++t) {
+            xs[t] = pts[t]->poly.limb(i);
+            bs[t] = cts[t]->c0.limb(i);
+            as[t] = cts[t]->c1.limb(i);
+        }
+        kernels::active().ks_inner_product(
+            out.c0.limb(i), out.c1.limb(i), xs.data(), bs.data(), as.data(),
+            terms, n, out.c0.limb_modulus(i));
+    });
+    ctx_->counters().pmult += terms;
+    ctx_->counters().hadd += terms - 1;
+    return out;
 }
 
 void

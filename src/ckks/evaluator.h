@@ -14,6 +14,8 @@
  * by every BSGS matrix-vector product in Orion.
  */
 
+#include <span>
+
 #include "src/ckks/ciphertext.h"
 #include "src/ckks/encoder.h"
 #include "src/ckks/keyswitch.h"
@@ -44,7 +46,10 @@ class Evaluator {
     void add_plain_inplace(Ciphertext& a, const Plaintext& p) const;
     void sub_plain_inplace(Ciphertext& a, const Plaintext& p) const;
     void negate_inplace(Ciphertext& a) const;
-    /** Adds constant v to every slot (encodes at a's level and scale). */
+    /**
+     * Adds constant v to every slot (rounded at a's scale, added as one
+     * scalar per limb: the constant plaintext without building it).
+     */
     void add_constant_inplace(Ciphertext& a, double v) const;
 
     // ---- multiplicative ops (no implicit rescale) ----
@@ -57,9 +62,18 @@ class Evaluator {
     Ciphertext square(const Ciphertext& a) const;
     /**
      * Multiplies by constant v encoded at the given scale (consumes one
-     * level after the caller rescales).
+     * level after the caller rescales), as one scalar per limb.
      */
     void mul_constant_inplace(Ciphertext& a, double v, double scale) const;
+    /**
+     * sum_t cts[t] * pts[t], bit-identical to mul_plain per term summed
+     * with add_inplace (and counted that way: one pmult per term, one hadd
+     * between terms), but in one multiply-accumulate pass per limb that
+     * reduces once per 16 terms. Every operand must sit at one level and
+     * every term's scale must match the first's.
+     */
+    Ciphertext mul_plain_sum(std::span<const Ciphertext* const> cts,
+                             std::span<const Plaintext* const> pts) const;
 
     // ---- scale and level management ----
 

@@ -101,7 +101,9 @@ struct KernelTable {
     /**
      * Fast-base-conversion accumulation for one target limb:
      *   dst[x] = (sum_j lams[j][x] * hats[j]) mod q,
-     * len <= 32 terms summed in 128 bits, one Barrett per element.
+     * len <= 32 terms summed in 128 bits, one Barrett per element. Every
+     * lams[j][x] and hats[j] must be below 2^61 (not necessarily below
+     * q); dst may alias one of the lams rows.
      */
     void (*base_conv_acc)(u64* dst, const u64* const* lams, const u64* hats,
                           int len, u64 n, const Modulus& q);

@@ -20,9 +20,12 @@ KeySwitcher::decompose(const RnsPoly& c) const
     const int digits = ctx.num_digits(level);
     const u64 n = ctx.degree();
 
-    // Work from the coefficient representation of c.
+    // The base conversions read the coefficient representation of c. The
+    // digit's own limbs need no conversion: an NTT-form input already
+    // holds them in the output's form.
+    const bool input_ntt = c.is_ntt();
     RnsPoly c_coeff = c;
-    if (c_coeff.is_ntt()) c_coeff.to_coeff();
+    if (input_ntt) c_coeff.to_coeff();
     ctx.counters().decompose += 1;
 
     std::vector<RnsPoly> out;
@@ -32,7 +35,9 @@ KeySwitcher::decompose(const RnsPoly& c) const
         const int hi = std::min((d + 1) * alpha - 1, level);
         const int digit_len = hi - lo + 1;
 
-        RnsPoly ext(ctx, level, /*extended=*/true, /*ntt_form=*/false);
+        // Every limb is written below (copied or converted).
+        RnsPoly ext = RnsPoly::uninitialized(ctx, level, /*extended=*/true,
+                                             /*ntt_form=*/true);
 
         // lambda_j = c_j * (D/q_j)^{-1} mod q_j for each digit limb j,
         // where D is the product of the digit's primes. The (D/q_j)^{-1}
@@ -61,25 +66,28 @@ KeySwitcher::decompose(const RnsPoly& c) const
         });
 
         // Fill every target limb: digit limbs copy c directly; other limbs
-        // get the fast base conversion sum_j lambda_j * (D/q_j mod m_t).
-        // Target limbs are independent, so this hoistable decomposition
-        // parallelizes cleanly across the RNS base.
+        // get the fast base conversion sum_j lambda_j * (D/q_j mod m_t)
+        // and a forward NTT. Target limbs are independent, so this
+        // hoistable decomposition parallelizes cleanly across the RNS base.
         core::parallel_for(0, ext.num_limbs(), [&](i64 ti) {
             const int t = static_cast<int>(ti);
             const int tg = ext.limb_global_index(t);
             u64* dst = ext.limb(t);
             if (tg >= lo && tg <= hi) {
-                std::copy(c_coeff.limb(tg), c_coeff.limb(tg) + n, dst);
-                return;
+                std::copy(c.limb(tg), c.limb(tg) + n, dst);
+                if (input_ntt) return;
+            } else {
+                const std::vector<u64>& hat_mod_t =
+                    dc.hat_mod[static_cast<std::size_t>(tg)];
+                kernels::active().base_conv_acc(dst, lam_ptrs.data(),
+                                                hat_mod_t.data(), digit_len,
+                                                n, ext.limb_modulus(t));
             }
-            const Modulus& mt = ext.limb_modulus(t);
-            const std::vector<u64>& hat_mod_t =
-                dc.hat_mod[static_cast<std::size_t>(tg)];
-            kernels::active().base_conv_acc(dst, lam_ptrs.data(),
-                                            hat_mod_t.data(), digit_len, n,
-                                            mt);
+            ext.limb_tables(t).forward(dst);
         });
-        ext.to_ntt();
+        const int transformed =
+            input_ntt ? ext.num_limbs() - digit_len : ext.num_limbs();
+        ctx.counters().ntt += static_cast<u64>(transformed);
         out.push_back(std::move(ext));
     }
     return out;

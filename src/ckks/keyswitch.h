@@ -27,7 +27,8 @@ class KeySwitcher {
 
     /**
      * Stage 1 (the hoistable part): digit-decomposes a coefficient-limb
-     * polynomial (NTT form) and extends each digit to the full basis.
+     * polynomial (either form) and extends each digit to the full basis.
+     * The digits come back in NTT form.
      */
     std::vector<RnsPoly> decompose(const RnsPoly& c) const;
 

@@ -1,7 +1,6 @@
 #include "src/ckks/poly.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/ckks/kernels.h"
 #include "src/core/thread_pool.h"
@@ -21,13 +20,28 @@ RnsPoly::count_acquire(core::ArenaAcquire how) const
 }
 
 RnsPoly::RnsPoly(const Context& ctx, int level, bool extended, bool ntt_form)
+    : RnsPoly(ctx, level, extended, ntt_form, Fill::kZero)
+{
+}
+
+RnsPoly::RnsPoly(const Context& ctx, int level, bool extended, bool ntt_form,
+                 Fill fill)
     : ctx_(&ctx), level_(level), ntt_(ntt_form),
       special_limbs_(extended ? ctx.special_count() : 0)
 {
     ORION_CHECK(level >= 0 && level <= ctx.max_level(),
                 "level out of range: " << level);
-    count_acquire(data_.acquire_zero(
-        static_cast<std::size_t>(num_limbs()) * ctx.degree()));
+    const std::size_t size =
+        static_cast<std::size_t>(num_limbs()) * ctx.degree();
+    count_acquire(fill == Fill::kZero ? data_.acquire_zero(size)
+                                      : data_.acquire(size));
+}
+
+RnsPoly
+RnsPoly::uninitialized(const Context& ctx, int level, bool extended,
+                       bool ntt_form)
+{
+    return RnsPoly(ctx, level, extended, ntt_form, Fill::kNone);
 }
 
 RnsPoly::RnsPoly(const RnsPoly& o)
@@ -119,6 +133,21 @@ RnsPoly::add_product_inplace(const RnsPoly& b, const RnsPoly& c)
 }
 
 void
+RnsPoly::add_scalar_inplace(const std::vector<u64>& scalar_per_limb)
+{
+    ORION_ASSERT(ntt_);
+    ORION_ASSERT(scalar_per_limb.size() >=
+                 static_cast<std::size_t>(num_limbs()));
+    const u64 n = degree();
+    for (int i = 0; i < num_limbs(); ++i) {
+        const Modulus& q = limb_modulus(i);
+        const u64 s = scalar_per_limb[static_cast<std::size_t>(i)];
+        u64* a = limb(i);
+        for (u64 j = 0; j < n; ++j) a[j] = add_mod(a[j], s, q);
+    }
+}
+
+void
 RnsPoly::mul_scalar_inplace(const std::vector<u64>& scalar_per_limb)
 {
     ORION_ASSERT(scalar_per_limb.size() >=
@@ -193,7 +222,7 @@ RnsPoly::galois_with_permutation(const std::vector<u32>& perm) const
 {
     ORION_ASSERT(ntt_);
     const u64 n = degree();
-    RnsPoly out(*ctx_, level_, extended(), /*ntt_form=*/true);
+    RnsPoly out = uninitialized(*ctx_, level_, extended(), /*ntt_form=*/true);
     core::parallel_for(0, num_limbs(), [&](i64 i) {
         const u64* src = limb(static_cast<int>(i));
         u64* dst = out.limb(static_cast<int>(i));
@@ -229,53 +258,88 @@ RnsPoly::galois(u64 elt) const
 }
 
 void
-RnsPoly::divide_and_drop_last()
+RnsPoly::divide_and_drop_tail(int count)
 {
+    // Unrolled, the step-by-step division (see poly.h) subtracts
+    // t_s = u_s - b_s * m_s from the survivors, where u_s in [0, m_s) is
+    // tail limb s as that step sees it and b_s = [u_s > m_s / 2] (the
+    // centering), weighted by W_s = prod_{s' > s} m_{s'}, and multiplies
+    // by the inverse of the whole product:
+    //   x' = (x - sum_s (u_s * W_s + b_s * (-m_s * W_s))) * (prod m)^{-1}.
+    // So one pass suffices: derive the (u_s, b_s) on the tail limbs alone,
+    // then give each survivor one 2*count-term base conversion, one NTT,
+    // a subtraction and a scalar multiply. All of it is exact modular
+    // arithmetic, so the result is the step-by-step one bit for bit.
+    ORION_ASSERT(count >= 1 && 2 * count <= 32 && count < num_limbs());
     const u64 n = degree();
-    const int last = num_limbs() - 1;
-    const Modulus& q_last = limb_modulus(last);
-    const int last_global = limb_global_index(last);
+    const int keep = num_limbs() - count;
+    const kernels::KernelTable& k = kernels::active();
 
-    // Bring the last limb to coefficient form for cross-modulus reduction.
-    core::ScratchVec<u64> last_coeffs(n);
-    std::memcpy(last_coeffs.data(), limb(last), n * sizeof(u64));
+    // The tail limbs are dropped at the end, so they are worked in place.
     if (ntt_) {
-        limb_tables(last).inverse(last_coeffs.data());
-        ctx_->counters().ntt += 1;
-    }
-    // Center so the rounding error is at most q_last/2 per coefficient.
-    core::ScratchVec<i64> centered(n);
-    for (u64 j = 0; j < n; ++j) {
-        centered[j] = to_centered(last_coeffs[j], q_last);
+        core::parallel_for(keep, num_limbs(), [this](i64 i) {
+            const int limb_idx = static_cast<int>(i);
+            limb_tables(limb_idx).inverse(limb(limb_idx));
+        });
+        ctx_->counters().ntt += static_cast<u64>(count);
     }
 
-    const int remaining = last;  // limbs 0..last-1 survive
-    core::parallel_for(0, remaining, [&](i64 li) {
+    // Last limb first, as the step-by-step division goes: record b_s,
+    // then apply step s to the tail limbs below it,
+    //   (x - u_s + b_s * m_s) * m_s^{-1} = x * m_s^{-1} - u_s * m_s^{-1} + b_s
+    // modulo each of them.
+    core::ScratchVec<u64> carries(static_cast<std::size_t>(count) * n);
+    const u64* rows[32];
+    for (int s = count - 1; s >= 0; --s) {
+        const int ls = keep + s;
+        const u64 half = limb_modulus(ls).value() / 2;
+        const u64* u = limb(ls);
+        u64* b = carries.data() + static_cast<std::size_t>(s) * n;
+        for (u64 j = 0; j < n; ++j) b[j] = u[j] > half ? 1 : 0;
+        rows[s] = u;
+        rows[count + s] = b;
+        for (int r = 0; r < s; ++r) {
+            const int lr = keep + r;
+            const Modulus& m = limb_modulus(lr);
+            const u64 inv = ctx_->inv_mod_global(limb_global_index(ls),
+                                                 limb_global_index(lr));
+            const u64* step_rows[3] = {limb(lr), u, b};
+            const u64 step_weights[3] = {inv, neg_mod(inv, m), 1};
+            k.base_conv_acc(limb(lr), step_rows, step_weights, 3, n, m);
+        }
+    }
+
+    core::parallel_for(0, keep, [&](i64 li) {
         const int i = static_cast<int>(li);
         const Modulus& q = limb_modulus(i);
+        const int gi = limb_global_index(i);
+        u64 weights[32];
+        u64 prefix = 1;  // W_s mod q
+        u64 inv = 1;     // (prod m)^{-1} mod q
+        for (int s = count - 1; s >= 0; --s) {
+            const int ls = keep + s;
+            const u64 m = q.reduce(limb_modulus(ls).value());
+            weights[s] = prefix;
+            weights[count + s] = neg_mod(mul_mod(m, prefix, q), q);
+            prefix = mul_mod(prefix, m, q);
+            const u64 m_inv = ctx_->inv_mod_global(limb_global_index(ls), gi);
+            inv = mul_mod(inv, m_inv, q);
+        }
         core::ScratchVec<u64> tmp(n);
-        for (u64 j = 0; j < n; ++j) {
-            tmp[j] = reduce_signed(centered[j], q);
-        }
-        if (ntt_) {
-            limb_tables(i).forward(tmp.data());
-        }
-        const u64 inv = ctx_->inv_mod_global(last_global, limb_global_index(i));
-        const u64 inv_shoup = shoup_precompute(inv, q);
-        // Two whole-limb kernel passes; per element this is the same op
-        // sequence as the fused mul_mod_shoup(sub_mod(...)) loop.
-        const kernels::KernelTable& k = kernels::active();
+        k.base_conv_acc(tmp.data(), rows, weights, 2 * count, n, q);
+        if (ntt_) limb_tables(i).forward(tmp.data());
         u64* a = limb(i);
         k.sub_mod_n(a, tmp.data(), n, q);
-        k.mul_scalar_shoup_n(a, a, n, inv, inv_shoup, q);
+        k.mul_scalar_shoup_n(a, a, n, inv, shoup_precompute(inv, q), q);
     });
-    if (ntt_) ctx_->counters().ntt += static_cast<u64>(remaining);
+    if (ntt_) ctx_->counters().ntt += static_cast<u64>(keep);
 
-    data_.resize_down(static_cast<std::size_t>(remaining) * n);
+    data_.resize_down(static_cast<std::size_t>(keep) * n);
     if (special_limbs_ > 0) {
-        --special_limbs_;
+        ORION_ASSERT(count == special_limbs_);
+        special_limbs_ = 0;
     } else {
-        --level_;
+        level_ -= count;
     }
 }
 
@@ -284,14 +348,14 @@ RnsPoly::rescale_drop_last()
 {
     ORION_CHECK(!extended(), "cannot rescale an extended polynomial");
     ORION_CHECK(level_ >= 1, "cannot rescale at level 0");
-    divide_and_drop_last();
+    divide_and_drop_tail(1);
 }
 
 void
 RnsPoly::mod_down_special()
 {
     ORION_CHECK(extended(), "mod_down_special requires special limbs");
-    while (special_limbs_ > 0) divide_and_drop_last();
+    divide_and_drop_tail(special_limbs_);
 }
 
 void
@@ -322,7 +386,8 @@ RnsPoly::mod_raise(int new_level) const
     const u64* src = base.limb(0);
     for (u64 j = 0; j < n; ++j) centered[j] = to_centered(src[j], q0);
 
-    RnsPoly out(*ctx_, new_level, /*extended=*/false, /*ntt_form=*/false);
+    RnsPoly out = uninitialized(*ctx_, new_level, /*extended=*/false,
+                                /*ntt_form=*/false);
     // Each target limb is an independent signed reduction of the centered
     // coefficients; fan them out across the pool (bit-identical at any
     // thread count: no cross-limb reads).

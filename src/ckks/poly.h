@@ -29,6 +29,14 @@ class RnsPoly {
     RnsPoly(const Context& ctx, int level, bool extended = false,
             bool ntt_form = true);
 
+    /**
+     * Same shape as the constructor, but the limbs are left
+     * UNINITIALIZED: for producers that overwrite every limb before
+     * anything reads it, so the zero fill would be wasted work.
+     */
+    static RnsPoly uninitialized(const Context& ctx, int level,
+                                 bool extended, bool ntt_form);
+
     // Limb storage lives in the core::Arena pool, so copies and
     // constructions are counted (OpCounters::poly_alloc / poly_arena_hit)
     // and steady-state hot loops recycle blocks instead of reallocating.
@@ -93,6 +101,11 @@ class RnsPoly {
     void mul_pointwise_inplace(const RnsPoly& other);
     /** Fused a += b * c over matching limbs; all NTT form. */
     void add_product_inplace(const RnsPoly& b, const RnsPoly& c);
+    /**
+     * Adds scalar_per_limb[i] (reduced mod q_i) to every slot of limb i:
+     * adds that constant polynomial. NTT form only.
+     */
+    void add_scalar_inplace(const std::vector<u64>& scalar_per_limb);
     /** Multiplies limb i by scalar_per_limb[i] (already reduced mod q_i). */
     void mul_scalar_inplace(const std::vector<u64>& scalar_per_limb);
     /** Multiplies every limb by the same small nonnegative integer. */
@@ -119,8 +132,9 @@ class RnsPoly {
     void rescale_drop_last();
 
     /**
-     * Divides by P (every special prime in turn) and drops the special
-     * limbs, completing a key switch. Requires extended().
+     * Divides by P (the product of the special primes) and drops the
+     * special limbs, completing a key switch. Requires extended(). One
+     * pass, bit-identical to dividing by each special prime in turn.
      */
     void mod_down_special();
 
@@ -141,12 +155,19 @@ class RnsPoly {
     bool is_zero() const;
 
   private:
+    enum class Fill { kZero, kNone };
+    RnsPoly(const Context& ctx, int level, bool extended, bool ntt_form,
+            Fill fill);
+
     /**
-     * Divides by the modulus of the last limb and drops it: centers the
-     * last limb, subtracts it from every remaining limb, multiplies by the
-     * dropped modulus' inverse.
+     * Divides by the product of the moduli of the last `count` limbs and
+     * drops them, with the result of dividing by each of them in turn
+     * (last limb first), each step rounding to the nearest integer: every
+     * step centers the dropped limb, subtracts it from the remaining limbs
+     * and multiplies them by the dropped modulus' inverse. Rescale drops
+     * one coefficient limb, mod-down all the special limbs.
      */
-    void divide_and_drop_last();
+    void divide_and_drop_tail(int count);
 
     /** Books an ArenaVec acquisition into the context's counters. */
     void count_acquire(core::ArenaAcquire how) const;

@@ -89,7 +89,11 @@ SimExecutor::run(const std::vector<double>& input)
         case Instruction::Op::kBootstrap: {
             ORION_CHECK(meta.at(ins.a).level >= 0, "bad bootstrap operand");
             std::vector<double> v = values.at(ins.a);
-            for (double& x : v) x += noise_.sample_normal(noise_std_);
+            // A zero std means an exact bootstrap: no draw at all (a
+            // normal distribution needs a positive std).
+            if (noise_std_ > 0.0) {
+                for (double& x : v) x += noise_.sample_normal(noise_std_);
+            }
             values[ins.value] = std::move(v);
             meta[ins.value] = {cn_->l_eff};
             result.bootstraps += ins.cts;

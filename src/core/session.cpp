@@ -58,11 +58,13 @@ Session::compile(const nn::Network& net, core::CompileOptions opt)
         // The cost model's l_boot is the *measured* depth of the real
         // bootstrap circuit at this parameter point (the plan is a pure
         // function of the parameters), so placement prices bootstraps
-        // with the same schedule the executor will actually run.
+        // with the same schedule the executor will actually run. The
+        // depth needs only the EvalMod fit; the full plan (stage
+        // matrices) is built below only if the program bootstraps.
         opt.cost = core::CostModel::for_params(
             ctx_->degree(), opts_.params->digit_size,
             opts_.params->digit_size,
-            ckks::BootstrapPlan::cached(ctx_->params())->depth);
+            ckks::BootstrapPlan::fit_eval_mod(ctx_->params()).depth);
     } else {
         opt.slots = opts_.sim_slots;
     }

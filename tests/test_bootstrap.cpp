@@ -4,13 +4,14 @@
  * circuit on a bootstrap-capable parameter point
  * (CkksParams::bootstrap_toy, l_boot = 13 — the paper's Table-1 shape),
  * evaluated under Galois/relinearization keys only. Includes the >= 15-bit
- * mean-precision assertion and 1/2/4-thread bit identity.
+ * mean-precision assertion and byte identity across ISAs and threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <complex>
 
+#include "src/ckks/serial.h"
 #include "src/core/config.h"
 #include "src/core/thread_pool.h"
 #include "tests/test_util.h"
@@ -254,44 +255,82 @@ TEST(Bootstrap, AcceptsHigherLevelInputsAndCountsOps)
     EXPECT_GT(stats.coeff_to_slot_s, 0.0);
     EXPECT_GT(stats.eval_mod_s, 0.0);
     EXPECT_GT(stats.slot_to_coeff_s, 0.0);
+    // And split the operation counts: every stage key-switches (CtS/StC
+    // rotations, EvalMod relinearizations) and transforms, and only
+    // ModRaise (one INTT + the raise per polynomial) runs outside them.
+    const ckks::OpCounters& c = env.ctx.counters();
+    u64 keyswitch = 0;
+    u64 decompose = 0;
+    u64 ntt = 0;
+    for (const ckks::BootstrapStageCounts& s :
+         {stats.coeff_to_slot, stats.eval_mod, stats.slot_to_coeff}) {
+        EXPECT_GT(s.keyswitch, 0u);
+        EXPECT_GT(s.decompose, 0u);
+        EXPECT_GT(s.ntt, 0u);
+        keyswitch += s.keyswitch;
+        decompose += s.decompose;
+        ntt += s.ntt;
+    }
+    EXPECT_EQ(keyswitch, c.keyswitch.value());
+    EXPECT_EQ(decompose, c.decompose.value());
+    EXPECT_LT(ntt, c.ntt.value());
 }
 
-bool
-polys_equal(const ckks::RnsPoly& a, const ckks::RnsPoly& b)
+TEST(Bootstrap, SerializedOutputIdenticalAcrossIsasAndThreads)
 {
-    if (a.level() != b.level() || a.num_limbs() != b.num_limbs()) {
-        return false;
-    }
-    const u64 n = a.degree();
-    for (int i = 0; i < a.num_limbs(); ++i) {
-        const u64* la = a.limb(i);
-        const u64* lb = b.limb(i);
-        for (u64 j = 0; j < n; ++j) {
-            if (la[j] != lb[j]) return false;
-        }
-    }
-    return true;
-}
-
-TEST(Bootstrap, BitIdenticalAcrossThreadCounts)
-{
+    IsaGuard guard;
     BootEnv& env = BootEnv::shared();
     const std::vector<double> a =
         random_vector(env.ctx.slot_count(), 1.0, 27);
     const Ciphertext ct = env.encrypt_at(a, 0);
 
-    std::vector<Ciphertext> outs;
-    for (int threads : {1, 2, 4}) {
-        core::ScopedNumThreads scoped(threads);
-        outs.push_back(env.boot.bootstrap(env.eval, ct));
+    std::vector<u8> baseline;
+    for (ckks::kernels::Isa isa : supported_isas()) {
+        ckks::kernels::set_isa(isa);
+        for (int threads : {1, 4}) {
+            core::ScopedNumThreads scoped(threads);
+            const std::vector<u8> bytes = ckks::serial::serialize(
+                env.boot.bootstrap(env.eval, ct));
+            if (baseline.empty()) {
+                baseline = bytes;
+            } else {
+                EXPECT_EQ(bytes, baseline)
+                    << ckks::kernels::isa_name(isa) << " x " << threads
+                    << " threads";
+            }
+        }
     }
-    for (std::size_t i = 1; i < outs.size(); ++i) {
-        EXPECT_TRUE(polys_equal(outs[0].c0, outs[i].c0))
-            << "c0 differs at thread variant " << i;
-        EXPECT_TRUE(polys_equal(outs[0].c1, outs[i].c1))
-            << "c1 differs at thread variant " << i;
-        EXPECT_EQ(outs[0].scale, outs[i].scale);
+    EXPECT_FALSE(baseline.empty());
+}
+
+TEST(Bootstrap, EvalModFitGivesTheFullPlanDepth)
+{
+    // The compiler's cost model reads the depth from fit_eval_mod alone;
+    // it must be the depth of the full plan the executor builds.
+    std::vector<ckks::BootstrapParams> variants(3);
+    variants[1].cts_levels = 3;
+    variants[1].stc_levels = 3;
+    variants[2].double_angle = 3;
+    for (const ckks::CkksParams& p :
+         {ckks::CkksParams::bootstrap_toy(3),
+          ckks::CkksParams::network(u64(1) << 12, 8)}) {
+        for (const ckks::BootstrapParams& opts : variants) {
+            const ckks::BootstrapPlan fit =
+                ckks::BootstrapPlan::fit_eval_mod(p, opts);
+            const ckks::BootstrapPlan full =
+                ckks::BootstrapPlan::build(p, opts);
+            EXPECT_EQ(fit.depth, full.depth);
+            EXPECT_EQ(fit.eval_depth, full.eval_depth);
+            EXPECT_EQ(fit.eval_degree, full.eval_degree);
+            EXPECT_EQ(fit.params.k_range, full.params.k_range);
+            EXPECT_TRUE(fit.cts_stages.empty() && fit.stc_stages.empty());
+            EXPECT_EQ(full.cts_stages.size(),
+                      static_cast<std::size_t>(opts.cts_levels));
+        }
     }
+    EXPECT_EQ(ckks::BootstrapPlan::fit_eval_mod(BootEnv::shared().params)
+                  .depth,
+              BootEnv::shared().boot.l_boot());
 }
 
 TEST(Bootstrap, RejectsChainsTooShortForTheCircuit)

@@ -122,6 +122,24 @@ TEST(Compiler, TinyResnetWithSquareActs)
     EXPECT_LT(rel_err(r.output, net.forward(x)), 1e-9);
 }
 
+TEST(Compiler, ZeroNoiseSimulatedBootstrapIsExact)
+{
+    // bootstrap_noise_std = 0 must skip the noise draw entirely (a normal
+    // distribution with std 0 violates its precondition) and leave the
+    // bootstrapped values untouched; a positive std still perturbs them.
+    const Network net = tiny_resnet(ActivationSpec::Kind::kSquare);
+    const CompiledNetwork cn = core::compile(net, toy_options(1024, 5));
+    ASSERT_GT(cn.num_bootstraps, 0u);
+    const std::vector<double> x = random_vector(2 * 8 * 8, 1.0, 32);
+    core::SimExecutor exact(cn, 0.0);
+    const core::ExecutionResult r = exact.run(x);
+    EXPECT_GT(r.bootstraps, 0u);
+    EXPECT_LT(rel_err(r.output, net.forward(x)), 1e-9);
+    EXPECT_EQ(exact.run(x).output, r.output);
+    core::SimExecutor noisy(cn, 1e-3);
+    EXPECT_NE(noisy.run(x).output, r.output);
+}
+
 TEST(Compiler, TinyResnetWithComposteReluRegions)
 {
     const Network net = tiny_resnet(ActivationSpec::Kind::kRelu);

@@ -31,22 +31,8 @@ namespace {
 
 namespace k = kernels;
 
-/** Every ISA this build + host can actually run. */
-std::vector<k::Isa>
-supported_isas()
-{
-    std::vector<k::Isa> out;
-    for (k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2, k::Isa::kAvx512}) {
-        if (k::isa_supported(isa)) out.push_back(isa);
-    }
-    return out;
-}
-
-/** Restores the active ISA on scope exit (set_isa is process-global). */
-struct IsaGuard {
-    k::Isa saved = k::active_isa();
-    ~IsaGuard() { k::set_isa(saved); }
-};
+using test::IsaGuard;
+using test::supported_isas;
 
 /**
  * Residues stressing the lane carry chains: exact q - 1 / q - 2 runs (the
@@ -364,6 +350,147 @@ TEST(KernelsSimd, HoistedRotationsDecomposeOnce)
     (void)env.eval.rotate_hoisted(h, 3);
     const u64 after = env.ctx.counters().decompose;
     EXPECT_EQ(after - before, u64(1));
+}
+
+TEST(KernelsSimd, ConstantsWithoutNttMatchCoefficientThenNtt)
+{
+    // A constant polynomial's NTT holds the constant in every slot, so
+    // encode_constant writes the residues straight into NTT form and the
+    // evaluator's constant ops apply them as per-limb scalars. All three
+    // must equal the coefficient-form encoding pushed through the NTT.
+    auto& env = test::CkksEnv::shared();
+    const Context& ctx = env.ctx;
+    const int level = ctx.max_level();
+    const Ciphertext ct = test::encrypt_vector(
+        env, test::random_vector(ctx.slot_count(), 1.0, 61), level);
+    // 2^100 pushes value * scale past the 64-bit rounding range.
+    for (const auto& [value, scale] :
+         std::vector<std::pair<double, double>>{{0.37, ctx.scale()},
+                                                {-1.0, ctx.scale()},
+                                                {0.0, ctx.scale()},
+                                                {-2.5e-7, 0x1.0p40},
+                                                {0.73, 0x1.0p100}}) {
+        const std::vector<u64> r =
+            env.encoder.constant_residues(value, level, scale);
+        Plaintext ref;
+        ref.scale = scale;
+        ref.poly = RnsPoly(ctx, level, /*extended=*/false,
+                           /*ntt_form=*/false);
+        for (int i = 0; i <= level; ++i) {
+            ref.poly.limb(i)[0] = r[static_cast<std::size_t>(i)];
+        }
+        ref.poly.to_ntt();
+        const u64 ntt_before = ctx.counters().ntt;
+        const Plaintext fast = env.encoder.encode_constant(value, level,
+                                                           scale);
+        EXPECT_EQ(ctx.counters().ntt, ntt_before) << "encode ran an NTT";
+        EXPECT_EQ(serial::serialize(fast), serial::serialize(ref))
+            << "encode_constant " << value;
+
+        Ciphertext mul_fast = ct;
+        env.eval.mul_constant_inplace(mul_fast, value, scale);
+        EXPECT_EQ(serial::serialize(mul_fast),
+                  serial::serialize(env.eval.mul_plain(ct, ref)))
+            << "mul_constant " << value;
+        if (scale == ctx.scale()) {
+            Ciphertext add_fast = ct;
+            env.eval.add_constant_inplace(add_fast, value);
+            Ciphertext add_ref = ct;
+            env.eval.add_plain_inplace(add_ref, ref);
+            EXPECT_EQ(serial::serialize(add_fast),
+                      serial::serialize(add_ref))
+                << "add_constant " << value;
+        }
+    }
+}
+
+TEST(KernelsSimd, DecomposeNttInputMatchesCoefficientInput)
+{
+    // decompose copies each digit's own limbs from an NTT-form input and
+    // transforms only the converted limbs; a coefficient-form input takes
+    // the transform-everything path. Same digits either way, on every
+    // ISA and thread count.
+    IsaGuard guard;
+    auto& env = test::CkksEnv::shared();
+    const Context& ctx = env.ctx;
+    const KeySwitcher switcher(ctx);
+    for (int level : {0, 2, ctx.max_level()}) {
+        const Ciphertext ct = test::encrypt_vector(
+            env, test::random_vector(ctx.slot_count(), 1.0, 70 + level),
+            level);
+        RnsPoly coeff = ct.c1;
+        coeff.to_coeff();
+        const std::vector<RnsPoly> ref = switcher.decompose(coeff);
+        const int ext_limbs = level + 1 + ctx.special_count();
+        for (k::Isa isa : supported_isas()) {
+            k::set_isa(isa);
+            for (int threads : {1, 4}) {
+                const core::ScopedNumThreads scoped(threads);
+                const u64 ntt_before = ctx.counters().ntt;
+                const std::vector<RnsPoly> got = switcher.decompose(ct.c1);
+                // level + 1 INTTs of the input, then every digit limb but
+                // the level + 1 copied ones: digits * ext_limbs in total.
+                EXPECT_EQ(ctx.counters().ntt - ntt_before,
+                          static_cast<u64>(got.size()) *
+                              static_cast<u64>(ext_limbs));
+                ASSERT_EQ(got.size(), ref.size());
+                for (std::size_t d = 0; d < got.size(); ++d) {
+                    EXPECT_TRUE(got[d].is_ntt());
+                    EXPECT_EQ(serial::serialize(got[d]),
+                              serial::serialize(ref[d]))
+                        << "digit " << d << " level " << level << " "
+                        << k::isa_name(isa) << " x" << threads;
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelsSimd, FusedPlainInnerSumMatchesPerTermReference)
+{
+    // Evaluator::mul_plain_sum (the BSGS group inner sum) against
+    // mul_plain per term summed with add_inplace, across the 16-term
+    // reduction chunk of the fused kernel, every ISA and 1/4 threads.
+    IsaGuard guard;
+    auto& env = test::CkksEnv::shared();
+    const Context& ctx = env.ctx;
+    const int level = 3;
+    std::vector<Ciphertext> cts;
+    std::vector<Plaintext> pts;
+    for (int t = 0; t < 40; ++t) {
+        cts.push_back(test::encrypt_vector(
+            env, test::random_vector(ctx.slot_count(), 1.0, 500 + t),
+            level));
+        pts.push_back(env.encoder.encode(
+            test::random_vector(ctx.slot_count(), 1.0, 600 + t), level,
+            ctx.scale()));
+    }
+    for (std::size_t terms : {1, 2, 16, 17, 33, 40}) {
+        Ciphertext ref = env.eval.mul_plain(cts[0], pts[0]);
+        for (std::size_t t = 1; t < terms; ++t) {
+            env.eval.add_inplace(ref, env.eval.mul_plain(cts[t], pts[t]));
+        }
+        std::vector<const Ciphertext*> ct_ptrs;
+        std::vector<const Plaintext*> pt_ptrs;
+        for (std::size_t t = 0; t < terms; ++t) {
+            ct_ptrs.push_back(&cts[t]);
+            pt_ptrs.push_back(&pts[t]);
+        }
+        for (k::Isa isa : supported_isas()) {
+            k::set_isa(isa);
+            for (int threads : {1, 4}) {
+                const core::ScopedNumThreads scoped(threads);
+                const OpCounters before = ctx.counters();
+                const Ciphertext got =
+                    env.eval.mul_plain_sum(ct_ptrs, pt_ptrs);
+                EXPECT_EQ(ctx.counters().pmult - before.pmult, terms);
+                EXPECT_EQ(ctx.counters().hadd - before.hadd, terms - 1);
+                EXPECT_EQ(serial::serialize(got), serial::serialize(ref))
+                    << terms << " terms, " << k::isa_name(isa) << " x"
+                    << threads;
+            }
+        }
+    }
 }
 
 TEST(KernelsSimd, ArenaStatsAndReuse)

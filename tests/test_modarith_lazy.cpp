@@ -5,8 +5,9 @@
  * on random and adversarial inputs, the Harvey NTT is cross-checked
  * against the eager per-op-reduction formulation it replaced, the fused
  * u128 key-switch inner product is cross-checked against the per-term
- * mul_mod/add_mod loop, and the end-to-end kernels are swept across
- * 1/2/4 threads for bit-identity.
+ * mul_mod/add_mod loop, the one-pass mod-down and rescale are
+ * cross-checked against the step-by-step division they replaced, and the
+ * end-to-end kernels are swept across 1/2/4 threads for bit-identity.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "src/ckks/ckks.h"
 #include "src/core/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace orion::ckks {
 namespace {
@@ -219,6 +221,162 @@ TEST(ModArithLazy, InnerProductMatchesPerTermReference)
                 << "acc0 limb " << t << " coeff " << j;
             ASSERT_EQ(acc1.limb(t)[j], ref1.limb(t)[j])
                 << "acc1 limb " << t << " coeff " << j;
+        }
+    }
+}
+
+/**
+ * The step-by-step division that RnsPoly's one-pass mod-down and rescale
+ * replaced, kept as their reference: `count` times, bring the last limb to
+ * coefficient form, center it, subtract it from every remaining limb,
+ * multiply those by the dropped modulus' inverse, and drop it. Returns the
+ * surviving limbs.
+ */
+std::vector<std::vector<u64>>
+sequential_divide_reference(const RnsPoly& in, int count)
+{
+    const Context& ctx = in.context();
+    const u64 n = in.degree();
+    std::vector<std::vector<u64>> limbs;
+    for (int i = 0; i < in.num_limbs(); ++i) {
+        limbs.emplace_back(in.limb(i), in.limb(i) + n);
+    }
+    for (int step = 0; step < count; ++step) {
+        const int last = in.num_limbs() - 1 - step;
+        const Modulus& m = in.limb_modulus(last);
+        std::vector<u64> coeffs = limbs[static_cast<std::size_t>(last)];
+        if (in.is_ntt()) in.limb_tables(last).inverse(coeffs.data());
+        for (int i = 0; i < last; ++i) {
+            const Modulus& q = in.limb_modulus(i);
+            std::vector<u64> t(n);
+            for (u64 j = 0; j < n; ++j) {
+                t[j] = reduce_signed(to_centered(coeffs[j], m), q);
+            }
+            if (in.is_ntt()) in.limb_tables(i).forward(t.data());
+            const u64 inv = ctx.inv_mod_global(in.limb_global_index(last),
+                                               in.limb_global_index(i));
+            std::vector<u64>& a = limbs[static_cast<std::size_t>(i)];
+            for (u64 j = 0; j < n; ++j) {
+                a[j] = mul_mod(sub_mod(a[j], t[j], q), inv, q);
+            }
+        }
+    }
+    limbs.resize(static_cast<std::size_t>(in.num_limbs() - count));
+    return limbs;
+}
+
+/**
+ * A polynomial whose last `tail` limbs hold, in coefficient form, the
+ * centering edge cases 0, floor(m/2), floor(m/2) + 1 and m - 1 between
+ * uniform residues (every other limb is uniform), converted to NTT form
+ * when `ntt` is set.
+ */
+RnsPoly
+edge_poly(const Context& ctx, int level, bool extended, int tail, bool ntt,
+          u64 seed)
+{
+    RnsPoly p(ctx, level, extended, /*ntt_form=*/false);
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < p.num_limbs(); ++i) {
+        const u64 m = p.limb_modulus(i).value();
+        const bool edge = i >= p.num_limbs() - tail;
+        std::uniform_int_distribution<u64> dist(0, m - 1);
+        u64* a = p.limb(i);
+        for (u64 j = 0; j < p.degree(); ++j) {
+            const u64 edges[4] = {0, m / 2, m / 2 + 1, m - 1};
+            a[j] = edge && j % 2 == 0 ? edges[(j / 2) % 4] : dist(rng);
+        }
+    }
+    if (ntt) p.to_ntt();
+    return p;
+}
+
+/** Compares a polynomial's limbs against reference rows. */
+void
+expect_limbs_equal(const RnsPoly& got,
+                   const std::vector<std::vector<u64>>& want,
+                   const std::string& what)
+{
+    ASSERT_EQ(got.num_limbs(), static_cast<int>(want.size())) << what;
+    for (int i = 0; i < got.num_limbs(); ++i) {
+        const std::vector<u64> row(got.limb(i), got.limb(i) + got.degree());
+        ASSERT_EQ(row, want[static_cast<std::size_t>(i)])
+            << what << ", limb " << i;
+    }
+}
+
+TEST(ModArithLazy, OnePassModDownMatchesSequentialReference)
+{
+    test::IsaGuard guard;
+    for (int k : {1, 2, 3, 4}) {
+        CkksParams params;
+        params.poly_degree = u64(1) << 10;
+        params.log_scale = 50;
+        params.first_prime_bits = 60;
+        params.num_scale_primes = 6;
+        params.special_prime_bits = 60;
+        params.digit_size = k;  // also the special prime count
+        const Context ctx(params);
+        ASSERT_EQ(ctx.special_count(), k);
+        for (int level : {0, 2, ctx.max_level()}) {
+            for (bool ntt : {true, false}) {
+                const RnsPoly in = edge_poly(ctx, level, /*extended=*/true,
+                                             k, ntt, 100 + 10 * k + level);
+                const std::vector<std::vector<u64>> want =
+                    sequential_divide_reference(in, k);
+                for (kernels::Isa isa : test::supported_isas()) {
+                    kernels::set_isa(isa);
+                    for (int threads : {1, 4}) {
+                        const core::ScopedNumThreads scoped(threads);
+                        RnsPoly got = in;
+                        const u64 ntt_before = ctx.counters().ntt;
+                        got.mod_down_special();
+                        EXPECT_FALSE(got.extended());
+                        EXPECT_EQ(got.level(), level);
+                        if (ntt) {
+                            // K inverse transforms plus one per Q limb.
+                            EXPECT_EQ(ctx.counters().ntt - ntt_before,
+                                      static_cast<u64>(k + level + 1));
+                        }
+                        expect_limbs_equal(
+                            got, want,
+                            "K=" + std::to_string(k) + " level " +
+                                std::to_string(level) +
+                                (ntt ? " ntt " : " coeff ") +
+                                kernels::isa_name(isa) + " x" +
+                                std::to_string(threads));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ModArithLazy, RescaleMatchesSequentialReference)
+{
+    test::IsaGuard guard;
+    const Context ctx(CkksParams::bootstrap_toy(3, u64(1) << 10));
+    for (int level : {1, 4, ctx.max_level()}) {
+        for (bool ntt : {true, false}) {
+            const RnsPoly in = edge_poly(ctx, level, /*extended=*/false, 1,
+                                         ntt, 200 + level);
+            const std::vector<std::vector<u64>> want =
+                sequential_divide_reference(in, 1);
+            for (kernels::Isa isa : test::supported_isas()) {
+                kernels::set_isa(isa);
+                for (int threads : {1, 4}) {
+                    const core::ScopedNumThreads scoped(threads);
+                    RnsPoly got = in;
+                    got.rescale_drop_last();
+                    EXPECT_EQ(got.level(), level - 1);
+                    expect_limbs_equal(
+                        got, want,
+                        "level " + std::to_string(level) +
+                            (ntt ? " ntt " : " coeff ") +
+                            kernels::isa_name(isa) + " x" +
+                            std::to_string(threads));
+                }
+            }
         }
     }
 }

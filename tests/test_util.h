@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/ckks/ckks.h"
+#include "src/ckks/kernels.h"
 
 namespace orion::test {
 
@@ -96,6 +97,24 @@ max_abs_diff(const std::vector<double>& a, const std::vector<double>& b)
     }
     return m;
 }
+
+/** Every kernel ISA this build + host can actually run. */
+inline std::vector<ckks::kernels::Isa>
+supported_isas()
+{
+    namespace k = ckks::kernels;
+    std::vector<k::Isa> out;
+    for (k::Isa isa : {k::Isa::kScalar, k::Isa::kAvx2, k::Isa::kAvx512}) {
+        if (k::isa_supported(isa)) out.push_back(isa);
+    }
+    return out;
+}
+
+/** Restores the active ISA on scope exit (set_isa is process-global). */
+struct IsaGuard {
+    ckks::kernels::Isa saved = ckks::kernels::active_isa();
+    ~IsaGuard() { ckks::kernels::set_isa(saved); }
+};
 
 /** Encrypts a real vector at the given level with the canonical scale. */
 inline ckks::Ciphertext

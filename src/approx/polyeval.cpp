@@ -169,9 +169,7 @@ HePolyEvaluator::power(PowerBasis& basis, int k) const
 
     if (a == b) {
         // Subtract T_0 = 1 at the product's scale.
-        const ckks::Plaintext one =
-            eval_->encoder().encode_constant(1.0, lvl, prod.scale);
-        eval_->sub_plain_inplace(prod, one);
+        eval_->add_constant_inplace(prod, -1.0);
     } else {
         // Subtract T_{a-b} = T_1, scale-aligned with a free constant.
         const ckks::Ciphertext& diff = power(basis, a - b);

@@ -73,15 +73,13 @@ collapse_stages(u64 dim, int total, const std::vector<int>& sizes,
     return out;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------
-// BootstrapPlan
-// ---------------------------------------------------------------------
-
+/**
+ * The EvalMod half of build(): resolves the options, fits the base cosine
+ * and sets every depth field (depth included); the stage matrices and
+ * their BSGS schedules stay empty (add_stages fills them).
+ */
 BootstrapPlan
-BootstrapPlan::fit_eval_mod(const CkksParams& params,
-                            const BootstrapParams& opts)
+fit_eval_mod(const CkksParams& params, const BootstrapParams& opts)
 {
     BootstrapPlan plan;
     plan.slots = params.poly_degree / 2;
@@ -142,20 +140,19 @@ BootstrapPlan::fit_eval_mod(const CkksParams& params,
     return plan;
 }
 
-BootstrapPlan
-BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
+/** The other half of build(): collapses the encoder's special-FFT stages
+ *  into per-level matrices (inverse stages for CoeffToSlot, forward stages
+ *  for SlotToCoeff) and schedules each with BSGS. */
+void
+add_stages(BootstrapPlan& plan, const CkksParams& params)
 {
-    BootstrapPlan plan = fit_eval_mod(params, opts);
-
-    // Collapse the encoder's special-FFT stages into per-level matrices:
-    // inverse stages for CoeffToSlot, forward stages for SlotToCoeff.
     const SpecialFft fft(params.poly_degree);
     const int total = fft.num_stages();
     plan.cts_stages = collapse_stages(
-        plan.slots, total, group_sizes(total, opts.cts_levels),
+        plan.slots, total, group_sizes(total, plan.params.cts_levels),
         [&](int s) { return fft.inverse_stage_matrix(s); });
     plan.stc_stages = collapse_stages(
-        plan.slots, total, group_sizes(total, opts.stc_levels),
+        plan.slots, total, group_sizes(total, plan.params.stc_levels),
         [&](int s) { return fft.forward_stage_matrix(s); });
     for (const ComplexDiagMatrix& m : plan.cts_stages) {
         plan.cts_bsgs.push_back(
@@ -167,36 +164,91 @@ BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
             lin::BsgsPlan::build_from_indices(plan.slots,
                                               m.diagonal_indices()));
     }
+}
+
+/**
+ * Process-wide memo of the default-options plan, keyed on (ring degree,
+ * secret weight): tiny, one entry per distinct parameter point ever seen
+ * in the process. `fit` is the EvalMod half; `full` is filled in from it
+ * by the first cached() call. Work happens outside the lock (seconds at
+ * large N); a racing duplicate is wasteful but harmless — first
+ * registration wins.
+ */
+struct PlanMemoEntry {
+    std::pair<u64, int> key;
+    std::shared_ptr<const BootstrapPlan> fit;
+    std::shared_ptr<const BootstrapPlan> full;
+};
+std::mutex g_plan_memo_mu;
+std::vector<PlanMemoEntry> g_plan_memo;
+
+std::pair<u64, int>
+plan_key(const CkksParams& params)
+{
+    return {params.poly_degree, params.secret_weight};
+}
+
+/** The memo entry for `key`, or nullptr; g_plan_memo_mu must be held. */
+PlanMemoEntry*
+find_entry(const std::pair<u64, int>& key)
+{
+    for (PlanMemoEntry& e : g_plan_memo) {
+        if (e.key == key) return &e;
+    }
+    return nullptr;
+}
+
+std::shared_ptr<const BootstrapPlan>
+cached_fit(const CkksParams& params)
+{
+    const std::pair<u64, int> key = plan_key(params);
+    {
+        std::lock_guard<std::mutex> lk(g_plan_memo_mu);
+        if (const PlanMemoEntry* e = find_entry(key)) return e->fit;
+    }
+    auto fit = std::make_shared<const BootstrapPlan>(
+        fit_eval_mod(params, BootstrapParams{}));
+    std::lock_guard<std::mutex> lk(g_plan_memo_mu);
+    if (const PlanMemoEntry* e = find_entry(key)) return e->fit;
+    g_plan_memo.push_back({key, fit, nullptr});
+    return fit;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------
+// BootstrapPlan
+// ---------------------------------------------------------------------
+
+BootstrapPlan
+BootstrapPlan::build(const CkksParams& params, const BootstrapParams& opts)
+{
+    BootstrapPlan plan = fit_eval_mod(params, opts);
+    add_stages(plan, params);
     return plan;
 }
 
 std::shared_ptr<const BootstrapPlan>
 BootstrapPlan::cached(const CkksParams& params)
 {
-    // The default-options plan depends only on the ring degree and the
-    // secret weight; memoize on that pair (tiny: one entry per distinct
-    // parameter point ever seen in the process).
-    static std::mutex mu;
-    static std::vector<
-        std::pair<std::pair<u64, int>, std::shared_ptr<const BootstrapPlan>>>
-        memo;
-    const std::pair<u64, int> key = {params.poly_degree,
-                                     params.secret_weight};
+    const std::pair<u64, int> key = plan_key(params);
     {
-        std::lock_guard<std::mutex> lk(mu);
-        for (const auto& [k, plan] : memo) {
-            if (k == key) return plan;
-        }
+        std::lock_guard<std::mutex> lk(g_plan_memo_mu);
+        const PlanMemoEntry* e = find_entry(key);
+        if (e != nullptr && e->full != nullptr) return e->full;
     }
-    // Build outside the lock (seconds at large N); a racing duplicate
-    // build is wasteful but harmless — first registration wins.
-    auto plan = std::make_shared<const BootstrapPlan>(build(params));
-    std::lock_guard<std::mutex> lk(mu);
-    for (const auto& [k, existing] : memo) {
-        if (k == key) return existing;
-    }
-    memo.emplace_back(key, plan);
-    return plan;
+    auto plan = std::make_shared<BootstrapPlan>(*cached_fit(params));
+    add_stages(*plan, params);
+    std::lock_guard<std::mutex> lk(g_plan_memo_mu);
+    PlanMemoEntry* e = find_entry(key);  // cached_fit registered it
+    if (e->full == nullptr) e->full = std::move(plan);
+    return e->full;
+}
+
+int
+BootstrapPlan::depth_for(const CkksParams& params)
+{
+    return cached_fit(params)->depth;
 }
 
 std::vector<GaloisKeyRequest>
@@ -376,9 +428,7 @@ BootstrapCircuit::eval_mod(const Evaluator& eval, const Ciphertext& ct) const
         eval.rescale_inplace(c);
         c.c0.mul_small_scalar_inplace(2);
         c.c1.mul_small_scalar_inplace(2);
-        const Plaintext one =
-            eval.encoder().encode_constant(1.0, c.level(), c.scale);
-        eval.sub_plain_inplace(c, one);
+        eval.add_constant_inplace(c, -1.0);
     }
     return c;
 }

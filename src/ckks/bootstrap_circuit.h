@@ -105,16 +105,6 @@ struct BootstrapPlan {
                                const BootstrapParams& opts = {});
 
     /**
-     * The first half of build(): resolves the options, fits the EvalMod
-     * polynomial and sets every depth field (depth included), but leaves
-     * the stage matrices and their BSGS schedules empty. Milliseconds
-     * where build() spends most of its time on the stage matrices, so
-     * callers that need only the depth (the compiler's cost model) use it.
-     */
-    static BootstrapPlan fit_eval_mod(const CkksParams& params,
-                                      const BootstrapParams& opts = {});
-
-    /**
      * Process-wide memo of build() for the default BootstrapParams,
      * keyed by the fields the plan actually depends on (ring degree and
      * secret weight). The compiler, PreparedProgram, and every serving
@@ -123,6 +113,15 @@ struct BootstrapPlan {
      */
     static std::shared_ptr<const BootstrapPlan> cached(
         const CkksParams& params);
+
+    /**
+     * cached(params)->depth without building the stage matrices: the
+     * depth needs only the EvalMod fit, which is memoized per parameter
+     * point alongside the plan (cached() later finishes the plan from the
+     * same fit). The compiler's cost model prices every program with it,
+     * bootstrap-free ones included.
+     */
+    static int depth_for(const CkksParams& params);
 };
 
 /**

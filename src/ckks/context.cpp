@@ -15,7 +15,11 @@ Context::Context(const CkksParams& params) : params_(params)
                 "poly_degree must be a power of two");
     ORION_CHECK(params.poly_degree >= 8, "poly_degree too small");
     ORION_CHECK(params.num_scale_primes >= 1, "need at least one scale prime");
-    ORION_CHECK(params.digit_size >= 1, "digit_size must be positive");
+    ORION_CHECK(params.digit_size >= 1 &&
+                    params.digit_size <= CkksParams::kMaxDigitSize,
+                "digit_size must lie in [1, " << CkksParams::kMaxDigitSize
+                                              << "], got "
+                                              << params.digit_size);
     // Each key-switch digit multiplies up to alpha scale primes; P must
     // dominate the digit product for the key-switch noise P^{-1}*sum(d_i e_i)
     // to stay small, hence alpha special primes of >= scale-prime size.

@@ -98,6 +98,12 @@ struct CkksParams {
     int special_prime_bits = 51;     ///< bits of each key-switch prime p_i
     int digit_size = 3;              ///< alpha: limbs per key-switch digit
                                      ///  (also the special prime count)
+    /**
+     * Largest accepted digit_size: mod-down folds the K = digit_size
+     * special primes into each surviving limb with one 2K-term base
+     * conversion, and that kernel sums at most 32 terms.
+     */
+    static constexpr int kMaxDigitSize = 16;
     u64 seed = 1;                    ///< deterministic RNG seed
     /**
      * Hamming weight of the ternary secret; 0 means dense (every

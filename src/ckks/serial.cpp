@@ -261,8 +261,11 @@ read_params(ByteReader& r)
                     p.first_prime_bits > 0 && p.first_prime_bits < 64 &&
                     p.special_prime_bits > 0 && p.special_prime_bits < 64,
                 "wire params: bit sizes out of range");
-    ORION_CHECK(p.num_scale_primes >= 1 && p.digit_size >= 1,
+    ORION_CHECK(p.num_scale_primes >= 1,
                 "wire params: chain shape out of range");
+    ORION_CHECK(p.digit_size >= 1 && p.digit_size <= CkksParams::kMaxDigitSize,
+                "wire params: digit_size must lie in [1, "
+                    << CkksParams::kMaxDigitSize << "]");
     return p;
 }
 

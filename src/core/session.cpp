@@ -59,12 +59,13 @@ Session::compile(const nn::Network& net, core::CompileOptions opt)
         // bootstrap circuit at this parameter point (the plan is a pure
         // function of the parameters), so placement prices bootstraps
         // with the same schedule the executor will actually run. The
-        // depth needs only the EvalMod fit; the full plan (stage
-        // matrices) is built below only if the program bootstraps.
+        // depth needs only the memoized EvalMod fit; the full plan (stage
+        // matrices) is finished from it below only if the program
+        // bootstraps.
         opt.cost = core::CostModel::for_params(
             ctx_->degree(), opts_.params->digit_size,
             opts_.params->digit_size,
-            ckks::BootstrapPlan::fit_eval_mod(ctx_->params()).depth);
+            ckks::BootstrapPlan::depth_for(ctx_->params()));
     } else {
         opt.slots = opts_.sim_slots;
     }

@@ -287,7 +287,7 @@ TEST(Bootstrap, SerializedOutputIdenticalAcrossIsasAndThreads)
     std::vector<u8> baseline;
     for (ckks::kernels::Isa isa : supported_isas()) {
         ckks::kernels::set_isa(isa);
-        for (int threads : {1, 4}) {
+        for (int threads : {1, 2, 4}) {
             core::ScopedNumThreads scoped(threads);
             const std::vector<u8> bytes = ckks::serial::serialize(
                 env.boot.bootstrap(env.eval, ct));
@@ -303,33 +303,31 @@ TEST(Bootstrap, SerializedOutputIdenticalAcrossIsasAndThreads)
     EXPECT_FALSE(baseline.empty());
 }
 
-TEST(Bootstrap, EvalModFitGivesTheFullPlanDepth)
+TEST(Bootstrap, DepthForMatchesTheFullPlan)
 {
-    // The compiler's cost model reads the depth from fit_eval_mod alone;
-    // it must be the depth of the full plan the executor builds.
-    std::vector<ckks::BootstrapParams> variants(3);
-    variants[1].cts_levels = 3;
-    variants[1].stc_levels = 3;
-    variants[2].double_angle = 3;
+    // The compiler's cost model reads the depth from the memoized EvalMod
+    // fit alone; it must be the depth of the full plan the executor runs,
+    // and cached() must finish that same fit into a plan equal to build().
     for (const ckks::CkksParams& p :
          {ckks::CkksParams::bootstrap_toy(3),
           ckks::CkksParams::network(u64(1) << 12, 8)}) {
-        for (const ckks::BootstrapParams& opts : variants) {
-            const ckks::BootstrapPlan fit =
-                ckks::BootstrapPlan::fit_eval_mod(p, opts);
-            const ckks::BootstrapPlan full =
-                ckks::BootstrapPlan::build(p, opts);
-            EXPECT_EQ(fit.depth, full.depth);
-            EXPECT_EQ(fit.eval_depth, full.eval_depth);
-            EXPECT_EQ(fit.eval_degree, full.eval_degree);
-            EXPECT_EQ(fit.params.k_range, full.params.k_range);
-            EXPECT_TRUE(fit.cts_stages.empty() && fit.stc_stages.empty());
-            EXPECT_EQ(full.cts_stages.size(),
-                      static_cast<std::size_t>(opts.cts_levels));
-        }
+        const int depth = ckks::BootstrapPlan::depth_for(p);
+        const ckks::BootstrapPlan built = ckks::BootstrapPlan::build(p);
+        const std::shared_ptr<const ckks::BootstrapPlan> cached =
+            ckks::BootstrapPlan::cached(p);
+        EXPECT_EQ(depth, built.depth);
+        EXPECT_EQ(cached->depth, built.depth);
+        EXPECT_EQ(cached->eval_depth, built.eval_depth);
+        EXPECT_EQ(cached->eval_degree, built.eval_degree);
+        EXPECT_EQ(cached->params.k_range, built.params.k_range);
+        EXPECT_EQ(cached->cts_stages.size(), built.cts_stages.size());
+        EXPECT_EQ(cached->stc_stages.size(), built.stc_stages.size());
+        EXPECT_EQ(cached->galois_requests(3).size(),
+                  built.galois_requests(3).size());
+        EXPECT_EQ(ckks::BootstrapPlan::cached(p), cached);
+        EXPECT_EQ(ckks::BootstrapPlan::depth_for(p), depth);
     }
-    EXPECT_EQ(ckks::BootstrapPlan::fit_eval_mod(BootEnv::shared().params)
-                  .depth,
+    EXPECT_EQ(ckks::BootstrapPlan::depth_for(BootEnv::shared().params),
               BootEnv::shared().boot.l_boot());
 }
 

@@ -352,6 +352,30 @@ TEST(ModArithLazy, OnePassModDownMatchesSequentialReference)
     }
 }
 
+TEST(ModArithLazy, DigitSizeLimitIsTheModDownKernelWidth)
+{
+    // K = 16 fills the base conversion's 32 terms exactly; K = 17 would
+    // overflow it, so the Context rejects it up front.
+    CkksParams params;
+    params.poly_degree = u64(1) << 10;
+    params.log_scale = 50;
+    params.first_prime_bits = 60;
+    params.num_scale_primes = 2;
+    params.special_prime_bits = 60;
+    params.digit_size = CkksParams::kMaxDigitSize;
+    const Context ctx(params);
+    const int k = ctx.special_count();
+    const RnsPoly in = edge_poly(ctx, ctx.max_level(), /*extended=*/true, k,
+                                 /*ntt=*/true, 300);
+    RnsPoly got = in;
+    got.mod_down_special();
+    expect_limbs_equal(got, sequential_divide_reference(in, k), "K=16");
+
+    params.digit_size = CkksParams::kMaxDigitSize + 1;
+    test::expect_throw_contains<Error>([&] { const Context bad(params); },
+                                       "digit_size must lie in [1, 16]");
+}
+
 TEST(ModArithLazy, RescaleMatchesSequentialReference)
 {
     test::IsaGuard guard;

@@ -37,6 +37,15 @@ TEST(Serial, ParamsRoundTrip)
     EXPECT_EQ(boot_back.secret_weight, boot.secret_weight);
 }
 
+TEST(Serial, RejectsParamsWithDigitSizeBeyondLimit)
+{
+    ckks::CkksParams p = ckks::CkksParams::toy();
+    p.digit_size = ckks::CkksParams::kMaxDigitSize + 1;
+    expect_throw_contains<Error>(
+        [&] { (void)serial::deserialize_params(serial::serialize(p)); },
+        "digit_size");
+}
+
 TEST(Serial, ParamsCompatibilityIgnoresSeedOnly)
 {
     ckks::CkksParams a = ckks::CkksParams::toy();
